@@ -187,6 +187,31 @@ fn clusterlife_golden_16_node_100_job_fingerprint() {
 
 const GOLDEN_FINGERPRINT: u64 = 0x7d82_dcb6_f5e1_c230;
 
+/// Eviction golden: 96 nodes gossiping into 16-entry windows overflow
+/// every window within a few ticks, so this trajectory pins the
+/// eviction order (stalest first, ties toward the higher node id) and
+/// the payload order that follows from it. The 16-node golden and the
+/// 64-node `BENCH_cluster.json` cells never fill a 64-entry window.
+#[test]
+fn clusterlife_golden_96_node_window_16_eviction_fingerprint() {
+    let mut cfg = life(96, Scheme::Ampom, 120, 0xC1FE);
+    cfg.window = 16;
+    let out = run_cluster_life(&cfg);
+    assert!(out.conserves_jobs());
+    assert_eq!(
+        out.fingerprint(),
+        EVICTION_GOLDEN_FINGERPRINT,
+        "pinned 96-node/window-16 trajectory moved: completed={} migrations={} \
+         merged={} fingerprint={:#018x}",
+        out.completed,
+        out.migrations,
+        out.gossip_entries_merged,
+        out.fingerprint()
+    );
+}
+
+const EVICTION_GOLDEN_FINGERPRINT: u64 = 0x84ac_3f18_05f6_7f39;
+
 /// The committed `results/ext_gossip.csv` seed data reproduces from the
 /// legacy simulator it was generated with — the new engine composes the
 /// same gossip and balancer substrate, so this ties the cluster-life
