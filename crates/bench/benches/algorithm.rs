@@ -6,15 +6,26 @@
 //! *actual Rust implementation* costs per invocation so the constant can
 //! be sanity-checked (it comes out in the hundreds of nanoseconds on a
 //! modern core, i.e. the 2 µs P4-era charge is conservative).
+//!
+//! The `gossip` group times the cluster's `WindowView` in batches of
+//! [`GOSSIP_BATCH`] calls per clock read: one call is tens of
+//! nanoseconds, the same order as reading the clock.
 
 use ampom_bench::{black_box, Harness};
+use ampom_cluster::gossip::{LoadEntry, WindowView};
 use ampom_core::census::census;
 use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
 use ampom_core::score::spatial_score;
 use ampom_core::window::LookbackWindow;
 use ampom_core::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
 use ampom_mem::page::PageId;
+use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
+
+/// `WindowView` calls per clock read in the `gossip` group.
+const GOSSIP_BATCH: u32 = 256;
+/// Entries in a full cluster-life gossip window.
+const GOSSIP_WINDOW: usize = 64;
 
 fn bench_window_record(h: &mut Harness) {
     let mut g = h.group("window");
@@ -100,11 +111,52 @@ fn bench_full_analysis(h: &mut Harness) {
     g.finish();
 }
 
+/// A full 64-entry window whose every merge takes the eviction path, and
+/// the payload of such a window.
+fn bench_gossip(h: &mut Harness) {
+    // Merges cycle through twice as many node ids as the window holds at
+    // ever fresher timestamps, so each incoming node is absent and
+    // evicts the stalest held entry.
+    let max_age = SimDuration::from_secs(8);
+    let mut full = WindowView::new(0, GOSSIP_WINDOW);
+    let mut tick = 0u64;
+    let mut merge = move || {
+        tick += 1;
+        let now = SimTime::from_nanos(tick * 1000);
+        let node = 1 + (tick % (2 * GOSSIP_WINDOW as u64)) as usize;
+        let entry = LoadEntry {
+            load: (tick % 5) as f64,
+            measured_at: now,
+        };
+        full.merge(black_box(node), entry, now, max_age)
+    };
+    for _ in 0..GOSSIP_WINDOW {
+        merge();
+    }
+
+    let mut source = WindowView::new(0, GOSSIP_WINDOW);
+    for node in 1..=GOSSIP_WINDOW {
+        let at = SimTime::from_nanos(node as u64);
+        let entry = LoadEntry {
+            load: node as f64,
+            measured_at: at,
+        };
+        source.merge(node, entry, at, max_age);
+    }
+    let mut rng = SimRng::seed_from_u64(42);
+
+    let mut g = h.group("gossip");
+    g.bench_batched("merge_evict_64", GOSSIP_BATCH, merge);
+    g.bench_batched("payload_64", GOSSIP_BATCH, || source.payload(&mut rng));
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
     bench_census(&mut h);
     bench_score_and_zone(&mut h);
     bench_full_analysis(&mut h);
+    bench_gossip(&mut h);
     h.finish();
 }

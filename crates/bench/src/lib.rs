@@ -4,7 +4,8 @@
 //!
 //! * `algorithm` — microbenchmarks of the AMPoM analysis path (window
 //!   record, stride census, Eq. 1 score, Eq. 3 zone sizing, full
-//!   `on_fault`), grounding the Figure 11 overhead model,
+//!   `on_fault`), grounding the Figure 11 overhead model, and of the
+//!   cluster's gossip window (`merge` on the eviction path, `payload`),
 //! * `figures` — one group per paper figure, running reduced problem
 //!   sizes so `cargo bench` completes in minutes,
 //! * `ablations` — the design-choice sweeps DESIGN.md calls out (baseline
@@ -128,7 +129,10 @@ impl Harness {
     }
 
     /// Times `f` (after one warm-up call) and records/prints the result.
-    fn run_one<R>(&mut self, name: String, samples: usize, mut f: impl FnMut() -> R) {
+    /// Each sample reads the clock once around `batch` calls and records
+    /// the per-call share, so sub-100 ns calls are not mostly clock
+    /// overhead.
+    fn run_one<R>(&mut self, name: String, samples: usize, batch: u32, mut f: impl FnMut() -> R) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -140,8 +144,10 @@ impl Harness {
         let mut total = Duration::ZERO;
         for _ in 0..samples {
             let t0 = Instant::now();
-            black_box(f());
-            let dt = t0.elapsed();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            let dt = t0.elapsed() / batch;
             min = min.min(dt);
             max = max.max(dt);
             total += dt;
@@ -188,7 +194,16 @@ impl Group<'_> {
     pub fn bench<R>(&mut self, id: &str, f: impl FnMut() -> R) {
         let samples = self.samples.unwrap_or(self.harness.samples);
         let name = format!("{}/{}", self.name, id);
-        self.harness.run_one(name, samples, f);
+        self.harness.run_one(name, samples, 1, f);
+    }
+
+    /// Times one bench in batches of `batch` calls per clock read,
+    /// reporting per-call figures.
+    pub fn bench_batched<R>(&mut self, id: &str, batch: u32, f: impl FnMut() -> R) {
+        assert!(batch > 0, "a batch holds at least one call");
+        let samples = self.samples.unwrap_or(self.harness.samples);
+        let name = format!("{}/{}", self.name, id);
+        self.harness.run_one(name, samples, batch, f);
     }
 
     /// Ends the group (for call-site symmetry; dropping works too).
@@ -221,5 +236,21 @@ mod tests {
         assert_eq!(h.results[0].samples, 3);
         assert!(h.results[0].min <= h.results[0].mean);
         assert!(h.results[0].mean <= h.results[0].max);
+    }
+
+    #[test]
+    fn batched_bench_runs_whole_batches() {
+        let mut h = Harness {
+            filter: None,
+            samples: 3,
+            results: Vec::new(),
+        };
+        let mut calls = 0u32;
+        let mut g = h.group("g");
+        g.bench_batched("batched", 8, || calls += 1);
+        g.finish();
+        // One warm-up call, then three samples of eight.
+        assert_eq!(calls, 1 + 3 * 8);
+        assert_eq!(h.results[0].name, "g/batched");
     }
 }

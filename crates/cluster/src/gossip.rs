@@ -135,18 +135,54 @@ pub fn merge_wins(existing: LoadEntry, incoming: LoadEntry) -> bool {
 /// `capacity` peer entries, rejects entries already older than the
 /// staleness bound at merge time, and evicts the stalest entry when full
 /// (ties broken by the higher node id, so eviction is deterministic).
+///
+/// The entries live in `window` in slot order: an eviction moves the last
+/// slot's entry into the victim's slot and puts the newcomer last (a
+/// `swap_remove` then a `push`), and [`WindowView::payload`] shuffles
+/// exactly that order, so the order is part of the observable behaviour.
+/// Two indexes sit beside it: a presence bitset over node ids (one bit
+/// per node seen, grown on demand) that answers "not in the window"
+/// without a scan, and an indexed min-heap of slots keyed by
+/// `(measured_at, Reverse(node))` whose root is the eviction victim.
+///
+/// Node ids must fit in a `u32`.
 #[derive(Debug, Clone)]
 pub struct WindowView {
     me: usize,
     own: LoadEntry,
-    window: Vec<(usize, LoadEntry)>,
+    window: Vec<Slot>,
     capacity: usize,
+    /// Bit `n` is set while node `n` holds a slot.
+    present: Vec<u64>,
+    /// Slot numbers ordered as a binary min-heap, stalest at the root.
+    heap: Vec<u16>,
+}
+
+/// One window slot. With a `u32` node id the slot's heap position fills
+/// what would otherwise be padding.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    node: u32,
+    /// This slot's index in `WindowView::heap`.
+    heap_pos: u16,
+    entry: LoadEntry,
 }
 
 impl WindowView {
+    /// The largest capacity a window can have: slots are indexed by
+    /// `u16`.
+    pub const MAX_CAPACITY: usize = u16::MAX as usize;
+
     /// A fresh window for node `me` holding at most `capacity` peers.
+    ///
+    /// Panics unless `1 <= capacity <= WindowView::MAX_CAPACITY`.
     pub fn new(me: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "WindowView needs a positive capacity");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "WindowView capacity {capacity} exceeds {}",
+            Self::MAX_CAPACITY
+        );
         WindowView {
             me,
             own: LoadEntry {
@@ -155,6 +191,8 @@ impl WindowView {
             },
             window: Vec::with_capacity(capacity.min(1024)),
             capacity,
+            present: Vec::new(),
+            heap: Vec::with_capacity(capacity.min(1024)),
         }
     }
 
@@ -179,11 +217,42 @@ impl WindowView {
     /// Forgets everything but the own entry (a restarted node rejoins
     /// with an empty window).
     pub fn reset(&mut self, now: SimTime) {
+        for i in 0..self.window.len() {
+            self.unmark(self.window[i].node as usize);
+        }
         self.window.clear();
+        self.heap.clear();
         self.own = LoadEntry {
             load: 0.0,
             measured_at: now,
         };
+    }
+
+    fn is_present(&self, node: usize) -> bool {
+        self.present
+            .get(node / 64)
+            .is_some_and(|word| word & (1 << (node % 64)) != 0)
+    }
+
+    fn mark(&mut self, node: usize) {
+        let word = node / 64;
+        if word >= self.present.len() {
+            self.present.resize(word + 1, 0);
+        }
+        self.present[word] |= 1 << (node % 64);
+    }
+
+    fn unmark(&mut self, node: usize) {
+        self.present[node / 64] &= !(1 << (node % 64));
+    }
+
+    /// The slot holding `node`, scanning only when the bitset says it is
+    /// there.
+    fn slot_of(&self, node: usize) -> Option<usize> {
+        if !self.is_present(node) {
+            return None;
+        }
+        self.window.iter().position(|s| s.node as usize == node)
     }
 
     /// The entry for `node`, if inside the window.
@@ -191,10 +260,7 @@ impl WindowView {
         if node == self.me {
             return Some(self.own);
         }
-        self.window
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|&(_, e)| e)
+        self.slot_of(node).map(|slot| self.window[slot].entry)
     }
 
     /// How many peers the window currently holds.
@@ -205,11 +271,11 @@ impl WindowView {
     /// Age of the stalest window entry at `now` (zero for an empty
     /// window).
     pub fn max_entry_age(&self, now: SimTime) -> ampom_sim::time::SimDuration {
-        self.window
-            .iter()
-            .map(|(_, e)| now.saturating_since(e.measured_at))
-            .max()
-            .unwrap_or(ampom_sim::time::SimDuration::ZERO)
+        self.heap
+            .first()
+            .map_or(ampom_sim::time::SimDuration::ZERO, |&root| {
+                now.saturating_since(self.window[root as usize].entry.measured_at)
+            })
     }
 
     /// Merges a received entry under the staleness bound: entries already
@@ -230,35 +296,107 @@ impl WindowView {
         if now.saturating_since(entry.measured_at) > max_age {
             return false;
         }
-        if let Some(slot) = self.window.iter_mut().find(|(n, _)| *n == node) {
-            if merge_wins(slot.1, entry) {
-                slot.1 = entry;
-                return true;
+        if let Some(slot) = self.slot_of(node) {
+            if !merge_wins(self.window[slot].entry, entry) {
+                return false;
             }
-            return false;
+            // A winning entry is never staler, so the slot can only sink.
+            self.window[slot].entry = entry;
+            self.sift_down(self.window[slot].heap_pos as usize);
+            return true;
         }
-        if self.window.len() >= self.capacity {
-            // Evict the stalest entry; ties broken toward the higher node
-            // id so eviction is a pure function of the window contents.
-            let victim = self
-                .window
-                .iter()
-                .enumerate()
-                .min_by(|(_, (an, ae)), (_, (bn, be))| {
-                    ae.measured_at.cmp(&be.measured_at).then(bn.cmp(an))
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty window");
-            if !merge_wins(self.window[victim].1, entry)
-                && self.window[victim].1.measured_at >= entry.measured_at
-            {
+        let id = u32::try_from(node).expect("WindowView node ids fit in a u32");
+        if self.window.len() < self.capacity {
+            let slot = self.window.len();
+            self.window.push(Slot {
+                node: id,
+                heap_pos: slot as u16,
+                entry,
+            });
+            self.heap.push(slot as u16);
+            self.sift_up(slot);
+        } else {
+            // Evict the stalest entry, the heap root; ties were broken
+            // toward the higher node id by the heap key, so eviction is a
+            // pure function of the window contents.
+            let victim = self.heap[0] as usize;
+            let held = self.window[victim].entry;
+            if !merge_wins(held, entry) && held.measured_at >= entry.measured_at {
                 // The incoming entry is staler than everything held.
                 return false;
             }
+            self.unmark(self.window[victim].node as usize);
+            // `swap_remove` then `push`: the last slot's entry moves into
+            // the victim's slot, keeping its heap position, and the
+            // newcomer takes the last slot at the heap root.
             self.window.swap_remove(victim);
+            let last = self.window.len();
+            if victim != last {
+                self.heap[self.window[victim].heap_pos as usize] = victim as u16;
+            }
+            self.window.push(Slot {
+                node: id,
+                heap_pos: 0,
+                entry,
+            });
+            self.heap[0] = last as u16;
+            self.sift_down(0);
         }
-        self.window.push((node, entry));
+        self.mark(node);
         true
+    }
+
+    /// Slot `slot`'s eviction key: staler first, then the higher node
+    /// id. Packed into one integer so the sift loops compare without
+    /// branching on the tie.
+    fn key(&self, slot: u16) -> u128 {
+        let s = &self.window[slot as usize];
+        (u128::from(s.entry.measured_at.as_nanos()) << 64) | u128::from(u32::MAX - s.node)
+    }
+
+    /// Puts `slot` at heap position `i`.
+    fn place(&mut self, i: usize, slot: u16) {
+        self.heap[i] = slot;
+        self.window[slot as usize].heap_pos = i as u16;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let slot = self.heap[i];
+        let key = self.key(slot);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.heap[parent];
+            if key >= self.key(above) {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, slot);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let slot = self.heap[i];
+        let key = self.key(slot);
+        let len = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let (mut child, mut child_key) = (left, self.key(self.heap[left]));
+            if left + 1 < len {
+                let right_key = self.key(self.heap[left + 1]);
+                child += usize::from(right_key < child_key);
+                child_key = child_key.min(right_key);
+            }
+            if child_key >= key {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, slot);
     }
 
     /// The least-loaded known peer with a fresh-enough entry, ties broken
@@ -271,20 +409,24 @@ impl WindowView {
     ) -> Option<(usize, f64)> {
         self.window
             .iter()
-            .filter(|(_, e)| now.saturating_since(e.measured_at) <= max_age)
-            .map(|&(n, e)| (n, e.load))
+            .filter(|s| now.saturating_since(s.entry.measured_at) <= max_age)
+            .map(|s| (s.node as usize, s.entry.load))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     }
 
     /// The MOSIX gossip payload: this node's own entry first, then a
-    /// random half of the window.
+    /// random half of the window. Shuffling slot numbers instead of the
+    /// entries makes the same draws and so the same permutation.
     pub fn payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
-        let mut known: Vec<(usize, LoadEntry)> = self.window.clone();
-        rng.shuffle(&mut known);
-        known.truncate(known.len() / 2);
-        let mut payload = Vec::with_capacity(known.len() + 1);
+        let mut order: Vec<u16> = (0..self.window.len() as u16).collect();
+        rng.shuffle(&mut order);
+        order.truncate(order.len() / 2);
+        let mut payload = Vec::with_capacity(order.len() + 1);
         payload.push((self.me, self.own));
-        payload.extend(known);
+        payload.extend(order.iter().map(|&slot| {
+            let s = &self.window[slot as usize];
+            (s.node as usize, s.entry)
+        }));
         payload
     }
 }
@@ -615,6 +757,12 @@ mod tests {
             max_age,
         ));
         assert!(w.entry(4).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn window_wider_than_u16_slots_panics() {
+        WindowView::new(0, WindowView::MAX_CAPACITY + 1);
     }
 
     #[test]

@@ -226,8 +226,17 @@ impl LifeConfig {
         if self.mix.specs.is_empty() {
             return Err("life.mix must have at least one spec".into());
         }
+        if self.mix.specs.iter().all(|s| s.weight == 0) {
+            return Err("life.mix weights must not all be zero".into());
+        }
         if self.window == 0 {
             return Err("life.window must be positive".into());
+        }
+        if self.window > WindowView::MAX_CAPACITY {
+            return Err(format!(
+                "life.window must be at most {}",
+                WindowView::MAX_CAPACITY
+            ));
         }
         if !(0.0..=1.0).contains(&self.arrival_node_fraction) || self.arrival_node_fraction == 0.0 {
             return Err("life.arrival_node_fraction must be in (0, 1]".into());
@@ -977,6 +986,29 @@ mod tests {
             at: SimTime::ZERO,
             down_for: SimDuration::from_secs(1),
         }];
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn zero_weight_mix_is_rejected() {
+        // `draw` would silently return the last spec and `mean_demand`
+        // would read zero.
+        let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
+        for spec in &mut cfg.mix.specs {
+            spec.weight = 0;
+        }
+        assert!(cfg.validate().is_err());
+        cfg.mix.specs[2].weight = 1;
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn window_wider_than_a_u16_slot_is_rejected() {
+        // An `Err` here, not a panic in `WindowView::new`.
+        let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
+        cfg.window = WindowView::MAX_CAPACITY;
+        assert!(cfg.validate().is_ok());
+        cfg.window = WindowView::MAX_CAPACITY + 1;
         assert!(cfg.validate().is_err());
     }
 }

@@ -1,9 +1,11 @@
 //! Property and golden tests for the cluster-life engine: windowed
-//! gossip freshness, thread-count/re-run determinism, job conservation,
-//! deputy-chain avoidance, a pinned 16-node/100-job fingerprint, and the
-//! `results/ext_gossip.csv` seed-data reproduction.
+//! gossip freshness, the indexed `WindowView` against a linear-scan
+//! reference model, thread-count/re-run determinism, job conservation,
+//! deputy-chain avoidance, a pinned 16-node/100-job fingerprint, a pinned
+//! fingerprint whose windows overflow, and the `results/ext_gossip.csv`
+//! seed-data reproduction.
 
-use ampom_cluster::gossip::{plan_gossip, GossipConfig, LoadEntry, WindowView};
+use ampom_cluster::gossip::{merge_wins, plan_gossip, GossipConfig, LoadEntry, WindowView};
 use ampom_cluster::{
     run_cluster_life, simulate, BalancePolicy, ClusterConfig, CrashEvent, LifeConfig,
 };
@@ -73,6 +75,169 @@ fn windowed_gossip_bounds_view_age() {
             // entry older than the run itself.
             assert!(v.known_peers() <= capacity);
             assert!(v.max_entry_age(now) <= SimDuration::from_secs(rounds));
+        }
+    });
+}
+
+/// The linear-scan window `WindowView` replaced: every lookup scans the
+/// window and every eviction scans it for the stalest entry. Kept as the
+/// reference model for the indexed implementation.
+struct LinearWindow {
+    me: usize,
+    own: LoadEntry,
+    window: Vec<(usize, LoadEntry)>,
+    capacity: usize,
+}
+
+impl LinearWindow {
+    fn new(me: usize, capacity: usize) -> Self {
+        LinearWindow {
+            me,
+            own: LoadEntry {
+                load: 0.0,
+                measured_at: SimTime::ZERO,
+            },
+            window: Vec::new(),
+            capacity,
+        }
+    }
+
+    fn set_own(&mut self, load: f64, now: SimTime) {
+        self.own = LoadEntry {
+            load,
+            measured_at: now,
+        };
+    }
+
+    fn reset(&mut self, now: SimTime) {
+        self.window.clear();
+        self.set_own(0.0, now);
+    }
+
+    fn entry(&self, node: usize) -> Option<LoadEntry> {
+        if node == self.me {
+            return Some(self.own);
+        }
+        self.window
+            .iter()
+            .find(|(n, _)| *n == node)
+            .map(|&(_, e)| e)
+    }
+
+    fn max_entry_age(&self, now: SimTime) -> SimDuration {
+        self.window
+            .iter()
+            .map(|(_, e)| now.saturating_since(e.measured_at))
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    fn merge(&mut self, node: usize, entry: LoadEntry, now: SimTime, max_age: SimDuration) -> bool {
+        if node == self.me || now.saturating_since(entry.measured_at) > max_age {
+            return false;
+        }
+        if let Some(slot) = self.window.iter_mut().find(|(n, _)| *n == node) {
+            if merge_wins(slot.1, entry) {
+                slot.1 = entry;
+                return true;
+            }
+            return false;
+        }
+        if self.window.len() >= self.capacity {
+            let victim = self
+                .window
+                .iter()
+                .enumerate()
+                .min_by(|(_, (an, ae)), (_, (bn, be))| {
+                    ae.measured_at.cmp(&be.measured_at).then(bn.cmp(an))
+                })
+                .map(|(i, _)| i)
+                .expect("non-empty window");
+            if !merge_wins(self.window[victim].1, entry)
+                && self.window[victim].1.measured_at >= entry.measured_at
+            {
+                return false;
+            }
+            self.window.swap_remove(victim);
+        }
+        self.window.push((node, entry));
+        true
+    }
+
+    fn least_loaded_peer(&self, now: SimTime, max_age: SimDuration) -> Option<(usize, f64)> {
+        self.window
+            .iter()
+            .filter(|(_, e)| now.saturating_since(e.measured_at) <= max_age)
+            .map(|&(n, e)| (n, e.load))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    }
+
+    fn payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
+        let mut known = self.window.clone();
+        rng.shuffle(&mut known);
+        known.truncate(known.len() / 2);
+        let mut payload = vec![(self.me, self.own)];
+        payload.extend(known);
+        payload
+    }
+}
+
+/// The indexed `WindowView` is observably the linear-scan window: over
+/// random merge/set_own/reset sequences with small capacities, node ids
+/// up to 200, coarse timestamps and few distinct loads (so staleness
+/// refusals and both tie-breaks are frequent), every merge returns the
+/// same verdict and every query, and the payload drawn from the same RNG
+/// seed, agrees.
+#[test]
+fn indexed_window_matches_linear_scan_oracle() {
+    const MAX_NODE: usize = 200;
+    forall("window-oracle", 48, |g| {
+        let capacity = g.usize(1..9);
+        let me = g.usize(0..MAX_NODE + 1);
+        let max_age = SimDuration::from_secs(g.u64(2..10));
+        let mut fast = WindowView::new(me, capacity);
+        let mut slow = LinearWindow::new(me, capacity);
+        let mut now = SimTime::ZERO + SimDuration::from_secs(12);
+        let steps = g.usize(50..400);
+        for step in 0..steps {
+            now += SimDuration::from_secs(g.u64(0..2));
+            let op = g.u64(0..100);
+            if op < 85 {
+                let node = g.usize(0..MAX_NODE + 1);
+                let entry = LoadEntry {
+                    load: g.u64(0..4) as f64,
+                    measured_at: now - SimDuration::from_secs(g.u64(0..12)),
+                };
+                assert_eq!(
+                    fast.merge(node, entry, now, max_age),
+                    slow.merge(node, entry, now, max_age),
+                    "merge({node}, {entry:?}) at step {step}"
+                );
+            } else if op < 98 {
+                let load = g.u64(0..4) as f64;
+                fast.set_own(load, now);
+                slow.set_own(load, now);
+            } else {
+                fast.reset(now);
+                slow.reset(now);
+            }
+            assert_eq!(fast.known_peers(), slow.window.len(), "step {step}");
+            assert_eq!(fast.max_entry_age(now), slow.max_entry_age(now));
+            assert_eq!(
+                fast.least_loaded_peer(now, max_age),
+                slow.least_loaded_peer(now, max_age)
+            );
+            if step % 8 == 0 || step + 1 == steps {
+                for node in 0..=MAX_NODE {
+                    assert_eq!(fast.entry(node), slow.entry(node), "entry({node})");
+                }
+                let seed = g.u64(0..u64::MAX);
+                assert_eq!(
+                    fast.payload(&mut SimRng::seed_from_u64(seed)),
+                    slow.payload(&mut SimRng::seed_from_u64(seed)),
+                    "payload at step {step}"
+                );
+            }
         }
     });
 }
