@@ -192,9 +192,7 @@ impl Group<'_> {
 
     /// Times one bench, labelled `group/id`.
     pub fn bench<R>(&mut self, id: &str, f: impl FnMut() -> R) {
-        let samples = self.samples.unwrap_or(self.harness.samples);
-        let name = format!("{}/{}", self.name, id);
-        self.harness.run_one(name, samples, 1, f);
+        self.bench_batched(id, 1, f);
     }
 
     /// Times one bench in batches of `batch` calls per clock read,
