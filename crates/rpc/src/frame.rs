@@ -807,6 +807,30 @@ mod tests {
         assert!(!payload_matches(PageId(42), &a[..100]), "wrong size");
     }
 
+    /// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The payload bytes are part of the live protocol's contract: the
+    /// client checks served pages against them, and perfbench's expected
+    /// checksums are derived from `page_payload_into` itself, so only
+    /// this golden catches a kernel that drifts. Pinned against the
+    /// original serial splitmix64 loop.
+    #[test]
+    fn payload_golden_fingerprint() {
+        let ids = [0, 1, 42, 4095, 65_535, 1 << 32, u64::MAX];
+        let hash = ids.iter().fold(0xcbf2_9ce4_8422_2325, |h, &id| {
+            fnv1a(h, &page_payload(PageId(id)))
+        });
+        assert_eq!(
+            hash, 0x9ae1_4cba_6330_78fc,
+            "page_payload bytes drifted: {hash:#018x}"
+        );
+    }
+
     #[test]
     fn allocation_free_reply_encoders_match_frame_encode() {
         let page = PageId(97);
