@@ -10,6 +10,10 @@
 //! The `gossip` group times the cluster's `WindowView` in batches of
 //! [`GOSSIP_BATCH`] calls per clock read: one call is tens of
 //! nanoseconds, the same order as reading the clock.
+//!
+//! The `wire` group times the deputy's data path, also batched: the
+//! page-payload kernel on one page, and encoding and decoding a 16-page
+//! `PageBatchReply` (the `deputy-loopback` request size).
 
 use ampom_bench::{black_box, Harness};
 use ampom_cluster::gossip::{LoadEntry, WindowView};
@@ -18,7 +22,10 @@ use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
 use ampom_core::score::spatial_score;
 use ampom_core::window::LookbackWindow;
 use ampom_core::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
-use ampom_mem::page::PageId;
+use ampom_mem::page::{PageId, PAGE_SIZE};
+use ampom_rpc::frame::{
+    encode_page_batch_reply_into, page_payload_into, Frame, LENGTH_PREFIX_BYTES,
+};
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
 
@@ -26,6 +33,10 @@ use ampom_sim::time::{SimDuration, SimTime};
 const GOSSIP_BATCH: u32 = 256;
 /// Entries in a full cluster-life gossip window.
 const GOSSIP_WINDOW: usize = 64;
+/// Calls per clock read in the `wire` group.
+const WIRE_BATCH: u32 = 64;
+/// Pages per reply in the `wire` group.
+const WIRE_REPLY_PAGES: u64 = 16;
 
 fn bench_window_record(h: &mut Harness) {
     let mut g = h.group("window");
@@ -151,6 +162,31 @@ fn bench_gossip(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_wire(h: &mut Harness) {
+    let mut page = [0u8; PAGE_SIZE as usize];
+    let mut id = 0u64;
+    let batch: Vec<(u64, PageId)> = (0..WIRE_REPLY_PAGES).map(|p| (1, PageId(p))).collect();
+    let mut out = Vec::new();
+    let mut encoded = Vec::new();
+    encode_page_batch_reply_into(&batch, &mut encoded);
+
+    let mut g = h.group("wire");
+    g.bench_batched("page_payload_into_1", WIRE_BATCH, || {
+        id += 1;
+        page_payload_into(PageId(black_box(id)), &mut page);
+        page[PAGE_SIZE as usize - 1]
+    });
+    g.bench_batched("encode_page_batch_reply_16", WIRE_BATCH, || {
+        out.clear();
+        encode_page_batch_reply_into(black_box(&batch), &mut out);
+        out.len()
+    });
+    g.bench_batched("decode_page_batch_reply_16", WIRE_BATCH, || {
+        Frame::decode(black_box(&encoded[LENGTH_PREFIX_BYTES..])).expect("a well-formed reply")
+    });
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
@@ -158,5 +194,6 @@ fn main() {
     bench_score_and_zone(&mut h);
     bench_full_analysis(&mut h);
     bench_gossip(&mut h);
+    bench_wire(&mut h);
     h.finish();
 }

@@ -64,6 +64,12 @@ pub const WRITEBACK_HEADER_BYTES: u64 = 17;
 /// Per-entry overhead on top of the page contents: page id + version.
 pub const WRITEBACK_ENTRY_OVERHEAD: u64 = 16;
 
+/// Most pages one writeback batch may carry: the v4 wire cap on a
+/// `WritebackBatch` frame (`ampom_rpc::frame::MAX_BATCH_PAGES`, which a
+/// test in that crate pins to this value). A live deputy rejects a larger
+/// batch as a malformed frame and closes the session.
+pub const MAX_WRITEBACK_BATCH_PAGES: usize = 64;
+
 /// Bytes one writeback batch of `pages` entries occupies on the wire.
 pub fn writeback_batch_bytes(pages: usize) -> u64 {
     WRITEBACK_HEADER_BYTES + pages as u64 * (WRITEBACK_ENTRY_OVERHEAD + PAGE_SIZE)
@@ -77,7 +83,7 @@ pub struct WritebackSpec {
     /// migrant is stalled anyway).
     pub flush_every_faults: u64,
     /// Cap on pages per delta batch, so a flush never monopolises the
-    /// link (matches the v4 wire cap).
+    /// link; at most the v4 wire cap, [`MAX_WRITEBACK_BATCH_PAGES`].
     pub max_batch_pages: usize,
 }
 
@@ -85,7 +91,7 @@ impl Default for WritebackSpec {
     fn default() -> Self {
         WritebackSpec {
             flush_every_faults: 8,
-            max_batch_pages: 64,
+            max_batch_pages: MAX_WRITEBACK_BATCH_PAGES,
         }
     }
 }
@@ -102,6 +108,12 @@ impl WritebackSpec {
             return Err(AmpomError::InvalidConfig(
                 "writeback.max_batch_pages must be positive".into(),
             ));
+        }
+        if self.max_batch_pages > MAX_WRITEBACK_BATCH_PAGES {
+            return Err(AmpomError::InvalidConfig(format!(
+                "writeback.max_batch_pages {} exceeds the wire cap of {MAX_WRITEBACK_BATCH_PAGES}",
+                self.max_batch_pages
+            )));
         }
         Ok(())
     }
@@ -988,6 +1000,23 @@ mod tests {
     use ampom_workloads::synthetic::{Sequential, SequentialWrite};
 
     const CPU: SimDuration = SimDuration::from_micros(15);
+
+    #[test]
+    fn writeback_batches_above_the_wire_cap_are_rejected() {
+        let at_cap = WritebackSpec::default();
+        assert_eq!(at_cap.max_batch_pages, MAX_WRITEBACK_BATCH_PAGES);
+        assert!(at_cap.validate().is_ok());
+        let over = WritebackSpec {
+            max_batch_pages: MAX_WRITEBACK_BATCH_PAGES + 1,
+            ..at_cap
+        };
+        assert!(matches!(
+            over.validate(),
+            Err(AmpomError::InvalidConfig(why)) if why.contains("wire cap")
+        ));
+        let cfg = RunConfig::new(Scheme::Ampom).with_writeback(over);
+        assert!(matches!(cfg.validate(), Err(AmpomError::InvalidConfig(_))));
+    }
 
     #[test]
     fn cost_model_tracks_lifecycle_constants() {

@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 
 use ampom_mem::page::{PageId, PAGE_SIZE};
 
-use crate::frame::{Frame, FrameBuffer, WIRE_VERSION};
+use crate::frame::{
+    encode_writeback_batch_into, Frame, FrameBuffer, MAX_BATCH_PAGES, WIRE_VERSION,
+};
 use crate::RpcError;
 
 /// Where the deputy listens.
@@ -120,6 +122,8 @@ pub struct MigrantClient {
     stream: Stream,
     fb: FrameBuffer,
     read_buf: Vec<u8>,
+    /// Outbound encode buffer, reused by every send.
+    write_buf: Vec<u8>,
     total_pages: u64,
     scheme_byte: u8,
     next_req_id: u64,
@@ -154,6 +158,7 @@ impl MigrantClient {
             stream,
             fb: FrameBuffer::new(),
             read_buf: vec![0u8; 64 * 1024],
+            write_buf: Vec::new(),
             total_pages,
             scheme_byte,
             next_req_id: 1,
@@ -209,10 +214,16 @@ impl MigrantClient {
     /// Encodes and writes one frame (flushed — requests must not sit in
     /// a userspace buffer while we wait for their replies).
     pub fn send(&mut self, frame: &Frame) -> Result<(), RpcError> {
-        let wire = frame.encode();
-        self.stream.write_all(&wire)?;
+        self.write_buf.clear();
+        frame.encode_into(&mut self.write_buf);
+        self.write_out()
+    }
+
+    /// Writes and flushes the encoded bytes in `write_buf`.
+    fn write_out(&mut self) -> Result<(), RpcError> {
+        self.stream.write_all(&self.write_buf)?;
         self.stream.flush()?;
-        self.bytes_sent += wire.len() as u64;
+        self.bytes_sent += self.write_buf.len() as u64;
         Ok(())
     }
 
@@ -353,13 +364,17 @@ impl MigrantClient {
 
     /// Sends one writeback delta batch — `(page, version)` pairs with
     /// deterministic page payloads — and returns the batch sequence
-    /// number its [`Frame::WritebackAck`] will echo.
+    /// number its [`Frame::WritebackAck`] will echo. More than
+    /// [`MAX_BATCH_PAGES`] entries is [`RpcError::BatchTooLarge`], and
+    /// nothing is sent: the deputy would reject the frame and close the
+    /// session.
     pub fn send_writeback(&mut self, seq: u64, entries: &[(PageId, u64)]) -> Result<u64, RpcError> {
-        let pages: Vec<(PageId, u64, Vec<u8>)> = entries
-            .iter()
-            .map(|&(p, v)| (p, v, crate::frame::page_payload(p)))
-            .collect();
-        self.send(&Frame::WritebackBatch { seq, pages })?;
+        if entries.len() > MAX_BATCH_PAGES {
+            return Err(RpcError::BatchTooLarge(entries.len()));
+        }
+        self.write_buf.clear();
+        encode_writeback_batch_into(seq, entries, &mut self.write_buf);
+        self.write_out()?;
         Ok(seq)
     }
 

@@ -65,8 +65,11 @@ pub const WIRE_VERSION: u16 = 4;
 /// and retries or degrades to demand fetches.
 pub const CODE_OVERLOADED: u16 = 503;
 
-/// Upper bound on pages in one [`Frame::PageBatchReply`]: 64 batched
-/// pages is ~257 KiB on the wire, comfortably under [`MAX_FRAME_BYTES`].
+/// Upper bound on pages in one [`Frame::PageBatchReply`] or
+/// [`Frame::WritebackBatch`]: 64 batched pages is ~257 KiB on the wire,
+/// comfortably under [`MAX_FRAME_BYTES`]. The simulated writeback engine
+/// caps its batches at the same value
+/// (`ampom_core::lifecycle::MAX_WRITEBACK_BATCH_PAGES`, pinned by test).
 pub const MAX_BATCH_PAGES: usize = 64;
 
 /// Hard cap on one frame's length field. The largest legitimate frame is
@@ -675,27 +678,80 @@ pub fn page_payload(page: PageId) -> Vec<u8> {
     data
 }
 
+/// splitmix64's state increment (the 64-bit golden ratio), which also
+/// salts the page id into the keystream's starting state.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+// The keystream fills the page after its 8-byte tag in whole words.
+const _: () = assert!(PAGE_SIZE.is_multiple_of(8));
+
 /// [`page_payload`] without the allocation: fills `data` (exactly one
 /// page) in place. The serving path synthesizes payloads directly into
 /// pooled outbound segments through this, so a busy deputy allocates
 /// nothing per page after warm-up.
+///
+/// On x86-64 CPUs with AVX-512 F, DQ and VL this runs the payload kernel
+/// compiled for those features; everywhere else it runs the same kernel
+/// compiled for the baseline instruction set. Both produce the same
+/// bytes.
 pub fn page_payload_into(page: PageId, data: &mut [u8]) {
     assert_eq!(
         data.len() as u64,
         PAGE_SIZE,
         "payload buffer is not one page"
     );
-    data[..8].copy_from_slice(&page.0.to_be_bytes());
-    let mut x = page.0 ^ 0x9e37_79b9_7f4a_7c15;
-    for chunk in data[8..].chunks_mut(8) {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+    {
+        // SAFETY: `payload_words_avx512` requires only that the CPU
+        // supports the three target features it is compiled with, and
+        // all three were detected on this CPU just above.
+        unsafe { payload_words_avx512(page, data) };
+        return;
+    }
+    payload_words(page, data);
+}
+
+/// The payload kernel: the page id as the 8-byte big-endian tag, then
+/// word `k` (from 0) is splitmix64's output for the state
+/// `x0 + (k + 1)·γ`, where `x0 = page ^ γ`, stored big-endian. This is
+/// the sequence a serial splitmix64 generator seeded with `x0` yields,
+/// but each word is computed from its index, so the iterations are
+/// independent and the compiler can vectorize them.
+#[inline(always)]
+fn payload_words(page: PageId, data: &mut [u8]) {
+    let (tag, words) = data.split_at_mut(8);
+    tag.copy_from_slice(&page.0.to_be_bytes());
+    let x0 = page.0 ^ GAMMA;
+    for (k, word) in (1u64..).zip(words.chunks_exact_mut(8)) {
+        let mut z = x0.wrapping_add(GAMMA.wrapping_mul(k));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        let bytes = z.to_be_bytes();
-        chunk.copy_from_slice(&bytes[..chunk.len()]);
+        word.copy_from_slice(&z.to_be_bytes());
     }
+}
+
+/// [`payload_words`] compiled for AVX-512 F, DQ and VL, which give the
+/// vector 64-bit multiply the keystream needs.
+///
+/// # Safety
+///
+/// The CPU must support the `avx512f`, `avx512dq` and `avx512vl` target
+/// features; running this on one that does not is undefined behaviour.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn payload_words_avx512(page: PageId, data: &mut [u8]) {
+    payload_words(page, data);
+}
+
+/// Appends `page`'s payload to `out`, synthesized in place.
+fn push_payload(page: PageId, out: &mut Vec<u8>) {
+    let data_at = out.len();
+    out.resize(data_at + PAGE_SIZE as usize, 0);
+    page_payload_into(page, &mut out[data_at..]);
 }
 
 /// Whether `data` is a well-formed serve of `page`: exactly one page
@@ -715,9 +771,7 @@ pub fn encode_page_reply_into(req_id: u64, page: PageId, out: &mut Vec<u8>) {
     out.push(0x05);
     out.extend_from_slice(&req_id.to_be_bytes());
     out.extend_from_slice(&page.0.to_be_bytes());
-    let data_at = out.len();
-    out.resize(data_at + PAGE_SIZE as usize, 0);
-    page_payload_into(page, &mut out[data_at..]);
+    push_payload(page, out);
     let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
     out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
 }
@@ -740,9 +794,32 @@ pub fn encode_page_batch_reply_into(batch: &[(u64, PageId)], out: &mut Vec<u8>) 
     out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
     for &(_, page) in batch {
         out.extend_from_slice(&page.0.to_be_bytes());
-        let data_at = out.len();
-        out.resize(data_at + PAGE_SIZE as usize, 0);
-        page_payload_into(page, &mut out[data_at..]);
+        push_payload(page, out);
+    }
+    let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
+    out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
+}
+
+/// Appends an encoded [`Frame::WritebackBatch`] to `out`, payloads
+/// synthesized in place — byte-identical to
+/// `Frame::WritebackBatch { seq, pages }.encode_into(out)` with each
+/// entry's contents `page_payload(page)`, but with no per-page
+/// allocation. At most [`MAX_BATCH_PAGES`] entries.
+pub fn encode_writeback_batch_into(seq: u64, entries: &[(PageId, u64)], out: &mut Vec<u8>) {
+    assert!(
+        entries.len() <= MAX_BATCH_PAGES,
+        "writeback batch of {} pages (cap {MAX_BATCH_PAGES})",
+        entries.len()
+    );
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
+    out.push(0x0f);
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    for &(page, version) in entries {
+        out.extend_from_slice(&page.0.to_be_bytes());
+        out.extend_from_slice(&version.to_be_bytes());
+        push_payload(page, out);
     }
     let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
     out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
@@ -751,6 +828,14 @@ pub fn encode_page_batch_reply_into(batch: &[(u64, PageId)], out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_batch_cap_is_the_writeback_cap() {
+        assert_eq!(
+            MAX_BATCH_PAGES,
+            ampom_core::lifecycle::MAX_WRITEBACK_BATCH_PAGES
+        );
+    }
 
     #[test]
     fn round_trip_via_frame_buffer() {
@@ -831,6 +916,43 @@ mod tests {
         );
     }
 
+    /// The original serial payload loop, kept as the oracle the kernel
+    /// must reproduce byte for byte.
+    fn serial_payload(page: PageId) -> Vec<u8> {
+        let mut data = vec![0u8; PAGE_SIZE as usize];
+        data[..8].copy_from_slice(&page.0.to_be_bytes());
+        let mut x = page.0 ^ 0x9e37_79b9_7f4a_7c15;
+        for chunk in data[8..].chunks_mut(8) {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let bytes = z.to_be_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+        data
+    }
+
+    /// The dispatched kernel (the AVX-512 build where the CPU has it)
+    /// and the portable body called directly both match the serial
+    /// loop, so hosts without AVX-512 still test the body they run.
+    #[test]
+    fn payload_kernels_match_the_serial_loop() {
+        let mut portable = vec![0u8; PAGE_SIZE as usize];
+        let mut check = |id: u64| {
+            let page = PageId(id);
+            let oracle = serial_payload(page);
+            assert_eq!(page_payload(page), oracle, "dispatched kernel, page {id}");
+            payload_words(page, &mut portable);
+            assert_eq!(portable, oracle, "portable kernel, page {id}");
+        };
+        for id in [0, 1, u64::MAX, u64::MAX ^ GAMMA, GAMMA] {
+            check(id);
+        }
+        ampom_sim::propcheck::forall("payload kernels", 200, |g| check(g.u64(0..u64::MAX)));
+    }
+
     #[test]
     fn allocation_free_reply_encoders_match_frame_encode() {
         let page = PageId(97);
@@ -853,6 +975,22 @@ mod tests {
         }
         .encode();
         assert_eq!(direct, via_frame, "batch encoder drifted from the codec");
+
+        let entries: Vec<(PageId, u64)> = vec![(PageId(4), 1), (PageId(70_000), 9), (PageId(4), 2)];
+        let mut direct = Vec::new();
+        encode_writeback_batch_into(31, &entries, &mut direct);
+        let via_frame = Frame::WritebackBatch {
+            seq: 31,
+            pages: entries
+                .iter()
+                .map(|&(p, v)| (p, v, page_payload(p)))
+                .collect(),
+        }
+        .encode();
+        assert_eq!(
+            direct, via_frame,
+            "writeback encoder drifted from the codec"
+        );
 
         // Appending after existing bytes leaves them untouched.
         let mut tail = vec![0xAAu8; 7];

@@ -65,6 +65,9 @@ pub enum RpcError {
     Protocol(String),
     /// The peer closed the connection.
     Disconnected,
+    /// A writeback batch held more pages than one frame may carry
+    /// ([`frame::MAX_BATCH_PAGES`]); nothing was sent.
+    BatchTooLarge(usize),
 }
 
 impl fmt::Display for RpcError {
@@ -75,6 +78,11 @@ impl fmt::Display for RpcError {
             RpcError::Handshake(why) => write!(f, "handshake failed: {why}"),
             RpcError::Protocol(why) => write!(f, "protocol violation: {why}"),
             RpcError::Disconnected => write!(f, "peer closed the connection"),
+            RpcError::BatchTooLarge(n) => write!(
+                f,
+                "writeback batch of {n} pages exceeds the wire cap of {}",
+                frame::MAX_BATCH_PAGES
+            ),
         }
     }
 }

@@ -640,3 +640,43 @@ fn request_cap_enforced_at_wire_boundary() {
     drop(over);
     server.shutdown();
 }
+
+/// A writeback batch one page past the wire cap is refused by the client
+/// before it writes a byte, so the session survives; before the check the
+/// deputy rejected the frame as malformed and closed the session.
+#[test]
+fn oversized_writeback_batch_is_refused_before_sending() {
+    use ampom_mem::page::PageId;
+    use ampom_rpc::frame::MAX_BATCH_PAGES;
+    use ampom_rpc::{Frame, RpcError};
+    use std::time::Duration;
+
+    let server = DeputyServer::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = ampom_rpc::MigrantClient::connect(Endpoint::tcp(server.local_addr()), 128, 2)
+        .expect("connect");
+
+    let over: Vec<(PageId, u64)> = (0..=MAX_BATCH_PAGES as u64)
+        .map(|p| (PageId(p), 1))
+        .collect();
+    let sent = client.bytes_sent();
+    match client.send_writeback(1, &over) {
+        Err(RpcError::BatchTooLarge(n)) => assert_eq!(n, MAX_BATCH_PAGES + 1),
+        other => panic!("expected BatchTooLarge, got {other:?}"),
+    }
+    assert_eq!(client.bytes_sent(), sent, "nothing reached the socket");
+
+    // The session is intact: a batch at the cap is applied in full.
+    client
+        .send_writeback(2, &over[..MAX_BATCH_PAGES])
+        .expect("writeback at the cap");
+    match client.recv(Duration::from_secs(5)).expect("recv") {
+        Some(Frame::WritebackAck {
+            seq: 2,
+            applied,
+            duplicates: 0,
+        }) => assert_eq!(applied as usize, MAX_BATCH_PAGES),
+        other => panic!("expected the ack of batch 2, got {other:?}"),
+    }
+    drop(client);
+    server.shutdown();
+}
