@@ -68,7 +68,7 @@ use crate::monitor::MonitorDaemon;
 use crate::prefetcher::NetEstimates;
 use crate::reliability::{FaultProfile, RetrySchedule, RetryStep};
 use crate::runner::RunConfig;
-use crate::transport::{run_with_transport, validate_for_transport, Transport};
+use crate::transport::{run_with_transport, Transport};
 
 /// Control-message size for a forwarded syscall (matches
 /// [`Deputy::forward_syscall`](crate::deputy::Deputy::forward_syscall)).
@@ -1089,7 +1089,12 @@ pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
             "a multi-run needs at least one migrant".into(),
         ));
     }
-    validate_for_transport(&spec.cfg)?;
+    spec.cfg.validate()?;
+    if let Some(feature) = spec.cfg.simulated_only_feature() {
+        return Err(AmpomError::InvalidConfig(format!(
+            "{feature} is not modelled by the multi-migrant deputy"
+        )));
+    }
     for m in &spec.migrants {
         m.workload.validate()?;
     }
@@ -1370,5 +1375,23 @@ mod tests {
             run_multi(&spec),
             Err(AmpomError::InvalidConfig(_))
         ));
+    }
+
+    /// FFA, simulated fault injection and resident-limit eviction exist
+    /// only on the single-migrant simulated transport; the shared deputy
+    /// refuses them rather than silently running without them.
+    #[test]
+    fn simulated_only_features_are_rejected() {
+        for cfg in [
+            RunConfig::new(Scheme::Ffa),
+            RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.1)),
+            RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1),
+        ] {
+            let spec = MultiRunSpec::homogeneous(cfg, quick_spec(), 7, 2);
+            assert!(matches!(
+                run_multi(&spec),
+                Err(AmpomError::InvalidConfig(_))
+            ));
+        }
     }
 }

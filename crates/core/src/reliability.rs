@@ -10,36 +10,31 @@
 //! * **Exponential backoff with a retry budget**: attempt `k` waits
 //!   `factor · 2^k` round trips before re-requesting the demanded page.
 //! * **Duplicate-reply suppression**: installs are idempotent, keyed by
-//!   [`PageId`] — a late original reply racing a retry's resend installs
-//!   once and the loser is counted, never double-installed.
+//!   page — a late original reply racing a retry's resend installs once
+//!   and the loser is counted, never double-installed.
 //! * **Graceful degradation** on deputy failure (a scheduled
 //!   crash/restart from [`DowntimeSchedule`]), selectable per run via
 //!   [`FailurePolicy`]: stall until the deputy reconnects, fall back to a
 //!   residual eager copy of every remaining page, or remigrate home.
 //!
-//! The entry point is `FaultInjector`, which the runner instantiates
-//! **only** for a non-null [`FaultProfile`]; a fault-free run never
-//! touches this module, so its timing is bit-identical to the historical
-//! runner (the zero-fault property test pins this).
+//! This module holds the protocol's knobs ([`FaultProfile`]), its
+//! transport-agnostic state machine ([`RetrySchedule`]) and the per-run
+//! fault state (`FaultInjector`). The protocol itself runs where the
+//! state it mutates lives: the simulated path in
+//! [`SimulatedTransport`](crate::transport::SimulatedTransport), which
+//! instantiates an injector **only** for a non-null profile — a
+//! fault-free run never draws a fate, so its timing is bit-identical to
+//! the fault-free path (the zero-fault property test pins this) — and
+//! the live socket client in `ampom-rpc`.
 
-use std::collections::{HashMap, VecDeque};
-
-use ampom_mem::eviction::ClockEvictor;
-use ampom_mem::page::{PageId, PAGE_SIZE};
-use ampom_mem::space::{AddressSpace, PageState};
-use ampom_mem::table::{PageLocation, PageTablePair};
-use ampom_net::calibration::{page_transfer_time, MIGRATION_BASE_COST};
-use ampom_net::fault::{Fate, FaultPlan, FaultSpec};
+use ampom_net::calibration::page_transfer_time;
+use ampom_net::fault::{FaultPlan, FaultSpec};
 use ampom_net::link::LinkConfig;
 use ampom_sim::event::DowntimeSchedule;
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
 
-use crate::cluster::NetPath;
-use crate::deputy::Deputy;
 use crate::error::AmpomError;
-use crate::metrics::FaultStats;
-use crate::runner::{make_room, PAGE_INSTALL_COST};
 
 /// Hard cap on failure-policy invocations per run. A stall-and-reconnect
 /// policy under heavy loss could in principle reconnect forever; past
@@ -140,8 +135,8 @@ pub enum RetryStep {
 /// counting, exponential-backoff deadlines, and the escalation to a
 /// [`FailurePolicy`] once the retry budget is spent.
 ///
-/// Both demand-wait loops — the simulated `FaultInjector` and the live
-/// socket client in `ampom-rpc` — drive this one state machine, so the
+/// Both demand-wait loops — the simulated transport's and the live
+/// socket client's in `ampom-rpc` — drive this one state machine, so the
 /// protocol's arithmetic exists in exactly one place. The
 /// `MAX_POLICY_CYCLES` termination guarantee (a pathological schedule
 /// is eventually forced onto the eager fallback) lives here too and
@@ -291,20 +286,21 @@ impl FaultProfile {
     }
 }
 
-/// Per-run fault state: the two fate streams (one per link direction),
-/// the calibrated base timeout, and the recovery counters.
+/// Per-run fault state of the simulated transport: the two fate
+/// streams (one per link direction) and the retry schedule. The
+/// [`SimulatedTransport`](crate::transport::SimulatedTransport) that
+/// owns it drives the recovery protocol over its own path and deputy.
 ///
 /// Both plans fork from the run's seed, so a sweep cell's faults depend
 /// only on its `(seed, message index)` — parallel sweeps stay
 /// bit-identical to serial ones.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
-    profile: FaultProfile,
-    request_plan: FaultPlan,
-    reply_plan: FaultPlan,
+    pub(crate) profile: FaultProfile,
+    pub(crate) request_plan: FaultPlan,
+    pub(crate) reply_plan: FaultPlan,
     /// The shared retry/backoff/degradation state machine.
-    schedule: RetrySchedule,
-    stats: FaultStats,
+    pub(crate) schedule: RetrySchedule,
 }
 
 impl FaultInjector {
@@ -315,416 +311,13 @@ impl FaultInjector {
             request_plan: FaultPlan::new(profile.faults, rng.fork(0x0072_6571)),
             reply_plan: FaultPlan::new(profile.faults, rng.fork(0x0072_6570)),
             schedule: RetrySchedule::for_link(profile.retry, profile.policy, link),
-            stats: FaultStats::default(),
         }
     }
-
-    /// Final counters for the run report.
-    pub(crate) fn into_stats(self) -> FaultStats {
-        self.stats
-    }
-
-    /// If the deputy is down at `now`, the instant it comes back up
-    /// (syscall forwarding must wait for it); `None` when it is up.
-    pub(crate) fn syscall_delay(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.profile.downtime.is_down(now) {
-            let up = self.profile.downtime.next_up(now);
-            self.stats.deputy_unavailable += 1;
-            self.stats.recovery_time += up.since(now);
-            Some(up)
-        } else {
-            None
-        }
-    }
-
-    /// Fault-aware counterpart of the runner's `send_request`: the
-    /// request may be dropped or jittered, the deputy may be down, and
-    /// each page reply gets its own fate. Only *delivered* replies are
-    /// registered in flight.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_request(
-        &mut self,
-        prefetch: &[PageId],
-        demand: Option<PageId>,
-        now: SimTime,
-        path: &mut NetPath,
-        deputy: &mut Deputy,
-        table: &mut PageTablePair,
-        in_flight: &mut HashMap<PageId, SimTime>,
-        staged: &mut VecDeque<(SimTime, PageId)>,
-        was_prefetched: &mut [bool],
-        pages_prefetched: &mut u64,
-    ) {
-        let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-        if let Some(d) = demand {
-            pages.push(d);
-        }
-        pages.extend_from_slice(prefetch);
-
-        let at_home = match self.request_plan.fate() {
-            Fate::Dropped => {
-                path.send_request_lost(now, pages.len());
-                self.stats.messages_dropped += 1;
-                return;
-            }
-            Fate::Delivered { extra_delay } => path.send_request(now, pages.len()) + extra_delay,
-        };
-        if self.profile.downtime.is_down(at_home) {
-            // The request reached a dead host; nothing answers.
-            self.stats.deputy_unavailable += 1;
-            return;
-        }
-
-        let reply_plan = &mut self.reply_plan;
-        let dropped_before = reply_plan.dropped();
-        let served =
-            deputy.serve_request_faulty(at_home, &pages, table, path, || reply_plan.fate());
-        let dropped_after = reply_plan.dropped();
-        self.stats.messages_dropped += dropped_after - dropped_before;
-
-        for s in &served {
-            // A retry's resend can race the late original; keep the
-            // earliest arrival so the migrant never waits longer than it
-            // has to.
-            match in_flight.get_mut(&s.page) {
-                Some(existing) => *existing = (*existing).min(s.arrives),
-                None => {
-                    in_flight.insert(s.page, s.arrives);
-                }
-            }
-            stage_sorted(staged, s.arrives, s.page);
-            if demand != Some(s.page) {
-                *pages_prefetched += 1;
-                was_prefetched[s.page.index() as usize] = true;
-            }
-        }
-    }
-
-    /// Fault-aware arrival install: idempotent per page. Jitter can
-    /// reorder arrivals and retries can deliver a page twice; a reply for
-    /// a page that is already resident is suppressed and counted, never
-    /// double-installed.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn install_arrived(
-        &mut self,
-        staged: &mut VecDeque<(SimTime, PageId)>,
-        in_flight: &mut HashMap<PageId, SimTime>,
-        space: &mut AddressSpace,
-        now: &mut SimTime,
-        mut evictor: Option<&mut ClockEvictor>,
-        protect: PageId,
-        path: &mut NetPath,
-        table: &mut PageTablePair,
-        pages_evicted: &mut u64,
-    ) {
-        let mut installed = 0u64;
-        while let Some(&(arrival, page)) = staged.front() {
-            if arrival > *now {
-                break;
-            }
-            staged.pop_front();
-            in_flight.remove(&page);
-            if space.is_resident(page) {
-                self.stats.duplicate_replies += 1;
-                continue;
-            }
-            if space.state(page) != PageState::Remote {
-                // Evicted while in flight and re-created locally; drop
-                // the stale copy (matches the fault-free runner).
-                continue;
-            }
-            if let Some(ev) = evictor.as_deref_mut() {
-                make_room(ev, protect, *now, path, table, space, pages_evicted);
-            }
-            space.install(page);
-            if let Some(ev) = evictor.as_deref_mut() {
-                ev.on_install(page);
-            }
-            installed += 1;
-        }
-        if installed > 0 {
-            *now += PAGE_INSTALL_COST.saturating_mul(installed);
-        }
-    }
-
-    /// The demand-page wait loop: stall for the faulted page with
-    /// timeouts, backoff and retries, degrading via the configured
-    /// [`FailurePolicy`] when the budget runs out. On return the demanded
-    /// page is resident.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn await_demand(
-        &mut self,
-        demand: PageId,
-        now: &mut SimTime,
-        stall_time: &mut SimDuration,
-        path: &mut NetPath,
-        deputy: &mut Deputy,
-        table: &mut PageTablePair,
-        in_flight: &mut HashMap<PageId, SimTime>,
-        staged: &mut VecDeque<(SimTime, PageId)>,
-        was_prefetched: &mut [bool],
-        pages_prefetched: &mut u64,
-        space: &mut AddressSpace,
-        mut evictor: Option<&mut ClockEvictor>,
-        pages_evicted: &mut u64,
-    ) {
-        self.schedule.begin_wait();
-        loop {
-            self.install_arrived(
-                staged,
-                in_flight,
-                space,
-                now,
-                evictor.as_deref_mut(),
-                demand,
-                path,
-                table,
-                pages_evicted,
-            );
-            if space.is_resident(demand) {
-                return;
-            }
-            let deadline = self.schedule.deadline_after(*now);
-            if let Some(&arrival) = in_flight.get(&demand) {
-                if arrival <= deadline {
-                    // The reply is on the wire and will beat the timer.
-                    // Saturating: the per-page install charge advances the
-                    // clock after the pop loop breaks, so a big arrived
-                    // batch can push `now` past the next arrival — the
-                    // reply is then already here and the next install pass
-                    // picks it up.
-                    *stall_time += arrival.saturating_since(*now);
-                    *now = (*now).max(arrival);
-                    continue;
-                }
-            }
-            // Nothing (timely) in flight: the timer fires.
-            *stall_time += deadline.since(*now);
-            *now = deadline;
-            self.stats.timeouts += 1;
-            let policy = match self.schedule.on_timeout() {
-                RetryStep::Retry => {
-                    self.stats.retries += 1;
-                    self.send_request(
-                        &[],
-                        Some(demand),
-                        *now,
-                        path,
-                        deputy,
-                        table,
-                        in_flight,
-                        staged,
-                        was_prefetched,
-                        pages_prefetched,
-                    );
-                    continue;
-                }
-                // Retry budget exhausted: graceful degradation (the
-                // schedule already forced the eager fallback if this run
-                // is past its policy-cycle cap).
-                RetryStep::Degrade(policy) => policy,
-            };
-            self.stats.reconnects += 1;
-            match policy {
-                FailurePolicy::StallReconnect => {
-                    // Wait out any deputy downtime; if the demand's reply
-                    // is already on the wire (timeouts were just tighter
-                    // than a congested reply queue), stall for it instead
-                    // of re-requesting into the backlog.
-                    let mut up = self.profile.downtime.next_up(*now);
-                    let mut resend = true;
-                    if let Some(&arrival) = in_flight.get(&demand) {
-                        up = up.max(arrival);
-                        resend = false;
-                    }
-                    let wait = up.saturating_since(*now);
-                    *stall_time += wait;
-                    self.stats.recovery_time += wait;
-                    *now = up;
-                    self.schedule.begin_wait();
-                    if resend {
-                        self.send_request(
-                            &[],
-                            Some(demand),
-                            *now,
-                            path,
-                            deputy,
-                            table,
-                            in_flight,
-                            staged,
-                            was_prefetched,
-                            pages_prefetched,
-                        );
-                    }
-                }
-                FailurePolicy::EagerFallback => {
-                    self.eager_fallback(
-                        now,
-                        stall_time,
-                        path,
-                        table,
-                        space,
-                        evictor.as_deref_mut(),
-                        in_flight,
-                        staged,
-                        pages_evicted,
-                        demand,
-                    );
-                }
-                FailurePolicy::Remigrate => {
-                    self.remigrate(now, stall_time, path, table, space, in_flight, staged);
-                }
-            }
-        }
-    }
-
-    /// Residual eager copy: abandon outstanding requests and ship every
-    /// page still remote in one bulk transfer, as the original openMosix
-    /// would have at freeze time.
-    #[allow(clippy::too_many_arguments)]
-    fn eager_fallback(
-        &mut self,
-        now: &mut SimTime,
-        stall_time: &mut SimDuration,
-        path: &mut NetPath,
-        table: &mut PageTablePair,
-        space: &mut AddressSpace,
-        mut evictor: Option<&mut ClockEvictor>,
-        in_flight: &mut HashMap<PageId, SimTime>,
-        staged: &mut VecDeque<(SimTime, PageId)>,
-        pages_evicted: &mut u64,
-        protect: PageId,
-    ) {
-        let start = *now;
-        *now = self.profile.downtime.next_up(*now);
-        staged.clear();
-        in_flight.clear();
-        let remote: Vec<PageId> = space
-            .pages_where(|st| matches!(st, PageState::Remote))
-            .collect();
-        for &p in &remote {
-            if table.lookup(p) == Some(PageLocation::Origin) {
-                table.transfer_to_destination(p);
-            }
-        }
-        let n = remote.len() as u64;
-        *now = path.bulk_transfer(*now, n * PAGE_SIZE);
-        for &p in &remote {
-            if let Some(ev) = evictor.as_deref_mut() {
-                make_room(ev, protect, *now, path, table, space, pages_evicted);
-            }
-            space.install(p);
-            if let Some(ev) = evictor.as_deref_mut() {
-                ev.on_install(p);
-            }
-        }
-        *now += PAGE_INSTALL_COST.saturating_mul(n);
-        self.stats.fallback_pages += n;
-        let spent = now.since(start);
-        *stall_time += spent;
-        self.stats.recovery_time += spent;
-    }
-
-    /// Migrate back home: write the dirty resident pages back, pay the
-    /// migration base cost, and continue co-located with the home node —
-    /// every remaining remote page becomes a local page there.
-    #[allow(clippy::too_many_arguments)]
-    fn remigrate(
-        &mut self,
-        now: &mut SimTime,
-        stall_time: &mut SimDuration,
-        path: &mut NetPath,
-        table: &mut PageTablePair,
-        space: &mut AddressSpace,
-        in_flight: &mut HashMap<PageId, SimTime>,
-        staged: &mut VecDeque<(SimTime, PageId)>,
-    ) {
-        let start = *now;
-        *now = self.profile.downtime.next_up(*now);
-        staged.clear();
-        in_flight.clear();
-        let resident: Vec<PageId> = space
-            .pages_where(|st| matches!(st, PageState::Resident { .. }))
-            .collect();
-        let bytes = resident.len() as u64 * PAGE_SIZE;
-        *now = path.bulk_transfer_to_home(*now + MIGRATION_BASE_COST, bytes);
-        for &p in &resident {
-            if table.lookup(p) == Some(PageLocation::Destination) {
-                table.return_to_origin(p);
-            }
-        }
-        // Execution resumes at the home node: pages that were remote are
-        // local there and install at no network cost.
-        let remote: Vec<PageId> = space
-            .pages_where(|st| matches!(st, PageState::Remote))
-            .collect();
-        for &p in &remote {
-            space.install(p);
-        }
-        self.stats.remigrated = true;
-        let spent = now.since(start);
-        *stall_time += spent;
-        self.stats.recovery_time += spent;
-    }
-}
-
-/// Inserts `(arrives, page)` keeping `staged` sorted by arrival time.
-/// Jitter makes arrivals slightly out of order; scanning from the back is
-/// O(displacement), which is tiny in practice.
-fn stage_sorted(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
-    let mut idx = staged.len();
-    while idx > 0 && staged[idx - 1].0 > arrives {
-        idx -= 1;
-    }
-    staged.insert(idx, (arrives, page));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_reply_delivered_twice_counts_one_duplicate() {
-        // Cross-transport identity anchor: `duplicate_replies` means "a
-        // reply arrived for a page the migrant already has", counted once
-        // per extra copy. The live transport's `note_reply` and bulk-fetch
-        // accounting are pinned to the same meaning by the unit tests in
-        // `crates/rpc/src/live.rs`; together with this test they keep the
-        // counter comparable across transports.
-        let link = ampom_net::calibration::fast_ethernet();
-        let mut inj = FaultInjector::new(&FaultProfile::default(), link, 1);
-        let layout = ampom_mem::region::MemoryLayout::with_data_bytes(8 * PAGE_SIZE);
-        let mut space = AddressSpace::new(layout);
-        let page = space.layout().data_start();
-        space.mark_remote(page);
-        let mut table = PageTablePair::at_migration([page]);
-        let mut path = NetPath::new(link);
-        // The original reply and a resent copy, both already arrived.
-        let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-        staged.push_back((SimTime::ZERO, page));
-        staged.push_back((SimTime::ZERO, page));
-        let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
-        in_flight.insert(page, SimTime::ZERO);
-        let mut now = SimTime::ZERO + SimDuration::from_micros(1);
-        let mut evicted = 0;
-        inj.install_arrived(
-            &mut staged,
-            &mut in_flight,
-            &mut space,
-            &mut now,
-            None,
-            page,
-            &mut path,
-            &mut table,
-            &mut evicted,
-        );
-        assert!(space.is_resident(page), "first copy installs the page");
-        assert_eq!(
-            inj.stats.duplicate_replies, 1,
-            "the resent copy is suppressed and counted exactly once"
-        );
-        assert_eq!(evicted, 0);
-    }
 
     #[test]
     fn retry_timeout_backs_off_exponentially() {
@@ -839,19 +432,6 @@ mod tests {
             SimTime::from_nanos(2),
         ));
         assert!(!with_outage.is_null());
-    }
-
-    #[test]
-    fn stage_sorted_keeps_arrival_order() {
-        let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-        for (t, p) in [(50u64, 0u64), (10, 1), (30, 2), (30, 3), (20, 4)] {
-            stage_sorted(&mut staged, SimTime::from_nanos(t), PageId(p));
-        }
-        let times: Vec<u64> = staged.iter().map(|&(t, _)| t.as_nanos()).collect();
-        assert_eq!(times, vec![10, 20, 30, 30, 50]);
-        // Equal arrivals keep insertion order (FIFO tie-break).
-        let pages: Vec<u64> = staged.iter().map(|&(_, p)| p.0).collect();
-        assert_eq!(pages, vec![1, 4, 2, 3, 0]);
     }
 
     #[test]

@@ -21,32 +21,23 @@
 //! * only faults that must *request* the missing page count as "page fault
 //!   requests" (the Figure 7 metric);
 //! * the migrant stalls only for the faulted page, never for prefetches.
+//!
+//! This module holds the run's configuration and the simulation entry
+//! points; the loop itself is [`run_with_transport`], run here over a
+//! [`SimulatedTransport`].
 
-use std::collections::{HashMap, VecDeque};
-
-use ampom_mem::eviction::ClockEvictor;
-use ampom_mem::page::{PageId, PAGE_SIZE};
-use ampom_mem::space::TouchOutcome;
-use ampom_net::calibration::{AMPOM_ANALYSIS_COST, PER_MESSAGE_OVERHEAD};
-use ampom_net::cross::CrossTraffic;
 use ampom_net::link::LinkConfig;
-use ampom_obs::PhaseBreakdown;
-use ampom_sim::rng::SimRng;
-use ampom_sim::time::{SimDuration, SimTime};
-use ampom_sim::trace::{Trace, TraceData, TraceKind};
+use ampom_sim::time::SimDuration;
 use ampom_workloads::memref::Workload;
 
-use crate::cluster::NetPath;
-use crate::deputy::Deputy;
 use crate::error::AmpomError;
-use crate::lifecycle::{writeback_batch_bytes, ForwardWriteback, WritebackSpec};
-use crate::metrics::{RunReport, RunSeries};
-use crate::migration::{perform_freeze, PreMigrationState, Scheme};
-use crate::monitor::MonitorDaemon;
-use crate::policy::{PolicySpec, PrefetchFeedback, Prefetcher};
-use crate::prefetcher::{AmpomConfig, PrefetchStats};
-use crate::reliability::{FailurePolicy, FaultInjector, FaultProfile};
-use crate::slo::QuantileSketch;
+use crate::lifecycle::WritebackSpec;
+use crate::metrics::RunReport;
+use crate::migration::Scheme;
+use crate::policy::PolicySpec;
+use crate::prefetcher::AmpomConfig;
+use crate::reliability::{FailurePolicy, FaultProfile};
+use crate::transport::{run_with_transport, SimulatedTransport};
 
 /// Cost of servicing a minor fault (anonymous zero-fill) in the kernel.
 pub const MINOR_FAULT_COST: SimDuration = SimDuration::from_micros(1);
@@ -273,901 +264,54 @@ impl RunConfig {
         }
         Ok(())
     }
+
+    /// The first configured feature that only [`SimulatedTransport`]
+    /// models — FFA file-server paging, simulated fault injection, or
+    /// resident-limit eviction — or `None`. Loops over other transports
+    /// (the multi-migrant deputy, the live socket) reject such
+    /// configurations rather than silently ignore them.
+    pub fn simulated_only_feature(&self) -> Option<&'static str> {
+        if self.scheme == Scheme::Ffa {
+            Some("the FFA scheme (file-server paging)")
+        } else if self.faults.as_ref().is_some_and(|p| !p.is_null()) {
+            Some("simulated fault injection (live transports inject faults on the wire)")
+        } else if self.resident_limit_mb.is_some() {
+            Some("resident-limit eviction")
+        } else {
+            None
+        }
+    }
 }
 
 /// Executes `workload` under `cfg`, validating the configuration first.
 ///
 /// This is the fallible entry point the [`crate::experiment::Experiment`]
 /// builder and the [`crate::sweep`] engine call; misconfiguration comes
-/// back as [`AmpomError`] instead of a panic inside the simulation.
+/// back as [`AmpomError`] instead of a panic inside the simulation. It
+/// is [`run_with_transport`] over a [`SimulatedTransport`].
 pub fn try_run_workload<W: Workload + ?Sized>(
     workload: &mut W,
     cfg: &RunConfig,
 ) -> Result<RunReport, AmpomError> {
     cfg.validate()?;
-    Ok(run_workload(workload, cfg))
+    run_with_transport(workload, cfg, &mut SimulatedTransport::new(cfg))
 }
 
 /// Executes `workload` under `cfg` and returns the full measurement
 /// record.
 ///
 /// # Panics
-/// May panic on an invalid configuration (e.g. a bad [`AmpomConfig`]);
+/// Panics on an invalid configuration (e.g. a bad [`AmpomConfig`]);
 /// prefer [`try_run_workload`] or the [`crate::experiment::Experiment`]
 /// builder for user-supplied configurations.
 pub fn run_workload<W: Workload + ?Sized>(workload: &mut W, cfg: &RunConfig) -> RunReport {
-    let layout = workload.layout().clone();
-    let pre = PreMigrationState::new(layout.clone(), workload.allocation_pages());
-    let program_mb = (pre.allocated.len() as u64 * PAGE_SIZE) >> 20;
-
-    let mut path = NetPath::new(cfg.link);
-    if let Some(spec) = cfg.cross_traffic {
-        path = path.with_cross_traffic(CrossTraffic::new(
-            spec.bytes_per_sec,
-            spec.burst_bytes,
-            SimRng::seed_from_u64(cfg.seed),
-        ));
-    }
-    let mut trace = if cfg.trace {
-        Trace::enabled()
-    } else {
-        Trace::disabled()
-    };
-
-    let freeze = perform_freeze(cfg.scheme, &pre, &mut path, &mut trace);
-    let mut space = freeze.space;
-    let mut table = freeze.table;
-    let mut now = SimTime::ZERO + freeze.freeze_time;
-
-    let mut prefetcher: Option<Box<dyn Prefetcher>> =
-        (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
-    let mut monitor = MonitorDaemon::new(&path);
-    let mut deputy = Deputy::new();
-
-    // Fault injection: only a non-null profile instantiates the
-    // reliability layer. With `injector == None` every dispatch below
-    // takes the historical fault-free code path, so zero-fault runs stay
-    // bit-identical to the pre-fault runner.
-    let mut injector = cfg
-        .faults
-        .as_ref()
-        .filter(|p| !p.is_null())
-        .map(|p| FaultInjector::new(p, cfg.link, cfg.seed));
-
-    // FFA: the home node pushes the remaining stack pages right after the
-    // freeze and flushes every dirty page to the file server in the
-    // background; faults are then served by the file server. We model the
-    // flush schedule analytically (the flush uses the home↔file-server
-    // link, which does not contend with our path).
-    let ffa = (cfg.scheme == Scheme::Ffa).then(|| FfaState::new(&pre, now, cfg.link));
-
-    // In-flight pages and the staging buffer of arrived-but-uninstalled
-    // pages. The reply link is FIFO, so arrivals are monotone and the
-    // buffer stays sorted by construction.
-    let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
-    let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-    let total_pages = layout.total_pages();
-    let mut was_prefetched = vec![false; total_pages as usize];
-    let mut pages_evicted = 0u64;
-    let mut series = cfg.sample_series_every.map(|_| RunSeries::default());
-    let sample_every = cfg.sample_series_every.unwrap_or(u64::MAX);
-    let mut faults_since_sample = 0u64;
-
-    // Memory pressure: register whatever the freeze installed, then push
-    // the overflow straight back (swap-over-network from the first
-    // instant — what an eager copy into a too-small node does).
-    let mut evictor = cfg.resident_limit_mb.map(|mb| {
-        let limit = (mb * 1024 * 1024 / PAGE_SIZE).max(4);
-        let mut ev = ClockEvictor::new(total_pages, limit);
-        let resident: Vec<PageId> = space
-            .pages_where(|st| matches!(st, ampom_mem::space::PageState::Resident { .. }))
-            .collect();
-        for p in resident {
-            if ev.at_capacity() {
-                pages_evicted += 1;
-                path.send_control_to_home(now, NetPath::page_reply_bytes());
-                table.return_to_origin(p);
-                space.mark_remote(p);
-            } else {
-                ev.on_install(p);
-            }
-        }
-        ev
-    });
-
-    // Measurement state.
-    let mut compute_time = SimDuration::ZERO;
-    let mut stall_time = SimDuration::ZERO;
-    // Per-fault stall distribution for the SLO layer. Syscall-delay
-    // stalls are not recorded: the sketch measures paging behaviour.
-    let mut stall_sketch = QuantileSketch::new();
-    let mut analysis_time = SimDuration::ZERO;
-    // Phase attribution: every clock advance below is charged to exactly
-    // one phase, so the disjoint phases sum to total_time to the
-    // nanosecond (tested in tests/observability.rs).
-    let mut install_time = SimDuration::ZERO;
-    let mut prefetch_overlap = SimDuration::ZERO;
-    let mut faults_total = 0u64;
-    let mut fault_requests = 0u64;
-    let mut prefetch_only_requests = 0u64;
-    let mut pages_demand = 0u64;
-    let mut pages_prefetched = 0u64;
-    let mut prefetched_used = 0u64;
-    let mut pages_local_alloc = 0u64;
-
-    // CPU-utilisation tracking for the C array: share of wall time spent
-    // computing since the previous fault.
-    let mut cpu_since_fault = SimDuration::ZERO;
-    let mut last_fault_at = now;
-
-    // Forwarded-syscall state.
-    let mut syscalls_forwarded = 0u64;
-    let mut syscall_time = SimDuration::ZERO;
-    let mut refs_since_syscall = 0u64;
-
-    // Background writeback (None on the fingerprint-pinned default path).
-    let mut wb = cfg.writeback.map(ForwardWriteback::new);
-
-    let page_limit = PageId(total_pages);
-
-    for r in &mut *workload {
-        if let Some(profile) = cfg.syscalls {
-            refs_since_syscall += 1;
-            if refs_since_syscall >= profile.every_refs {
-                refs_since_syscall = 0;
-                // The home dependency is absolute: a forwarded call can
-                // only execute once the deputy is back up.
-                if let Some(inj) = injector.as_mut() {
-                    if let Some(up) = inj.syscall_delay(now) {
-                        stall_time += up.since(now);
-                        now = up;
-                    }
-                }
-                let done = deputy.forward_syscall(now, profile.work, &mut path);
-                syscall_time += done.since(now);
-                syscalls_forwarded += 1;
-                trace.record(done, TraceKind::SyscallForwarded, TraceData::empty());
-                now = done;
-            }
-        }
-
-        // Prefetch-usage accounting (one cheap indexed read per touch).
-        let pidx = r.page.index() as usize;
-        if was_prefetched[pidx] {
-            was_prefetched[pidx] = false;
-            prefetched_used += 1;
-        }
-
-        match space.touch(r.page, r.write) {
-            TouchOutcome::Hit => {
-                if let Some(ev) = evictor.as_mut() {
-                    ev.on_touch(r.page);
-                }
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if !in_flight.is_empty() {
-                    prefetch_overlap += r.cpu;
-                }
-            }
-            TouchOutcome::LocalAllocate => {
-                // Anonymous first touch: minor fault, no network. Still a
-                // fault for the lookback window — the kernel handler runs.
-                faults_total += 1;
-                pages_local_alloc += 1;
-                if let Some(wb) = wb.as_mut() {
-                    // First touches allocate dirty (zero-fill).
-                    wb.note_touch(r.page, true);
-                }
-                now += MINOR_FAULT_COST;
-                if table.lookup(r.page).is_none() {
-                    table.create_at_destination(r.page);
-                }
-                if let Some(ev) = evictor.as_mut() {
-                    make_room(
-                        ev,
-                        r.page,
-                        now,
-                        &mut path,
-                        &mut table,
-                        &mut space,
-                        &mut pages_evicted,
-                    );
-                    ev.on_install(r.page);
-                }
-                let util = utilization(cpu_since_fault, now, last_fault_at);
-                last_fault_at = now;
-                cpu_since_fault = SimDuration::ZERO;
-                if let Some(pf) = prefetcher.as_deref_mut() {
-                    let prefetch = analyze(
-                        pf,
-                        r.page,
-                        &mut now,
-                        util,
-                        &mut monitor,
-                        &mut path,
-                        page_limit,
-                        &space,
-                        &in_flight,
-                        PrefetchFeedback {
-                            pages_prefetched,
-                            prefetched_used,
-                        },
-                        &mut analysis_time,
-                        &mut trace,
-                    );
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        dispatch_request(
-                            &mut injector,
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
-                    }
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if !in_flight.is_empty() {
-                    prefetch_overlap += r.cpu;
-                }
-            }
-            TouchOutcome::RemoteFault => {
-                faults_total += 1;
-                let fault_at = now;
-                trace.record(now, TraceKind::PageFault, TraceData::page(r.page.index()));
-                if let Some(wb) = wb.as_mut() {
-                    if wb.on_fault() {
-                        flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-                    }
-                }
-                let install_from = now;
-                dispatch_install(
-                    &mut injector,
-                    &mut staged,
-                    &mut in_flight,
-                    &mut space,
-                    &mut now,
-                    evictor.as_mut(),
-                    r.page,
-                    &mut path,
-                    &mut table,
-                    &mut pages_evicted,
-                );
-                install_time += now.since(install_from);
-
-                let util = utilization(cpu_since_fault, fault_at, last_fault_at);
-                last_fault_at = fault_at;
-                cpu_since_fault = SimDuration::ZERO;
-
-                // AMPoM analysis (every fault, per Algorithm 1).
-                let prefetch = match prefetcher.as_deref_mut() {
-                    Some(pf) => analyze(
-                        pf,
-                        r.page,
-                        &mut now,
-                        util,
-                        &mut monitor,
-                        &mut path,
-                        page_limit,
-                        &space,
-                        &in_flight,
-                        PrefetchFeedback {
-                            pages_prefetched,
-                            prefetched_used,
-                        },
-                        &mut analysis_time,
-                        &mut trace,
-                    ),
-                    None => Vec::new(),
-                };
-
-                if let Some(series) = series.as_mut() {
-                    faults_since_sample += 1;
-                    if faults_since_sample >= sample_every {
-                        faults_since_sample = 0;
-                        series.in_flight.push(now, in_flight.len() as f64);
-                        series.resident.push(now, space.resident_pages() as f64);
-                        if let Some(pf) = prefetcher.as_ref() {
-                            series
-                                .zone_budget
-                                .push(now, pf.observe().stats.budgets.mean());
-                        }
-                        series
-                            .link_utilization
-                            .push(now, path.reply_utilization(now));
-                    }
-                }
-
-                if space.is_resident(r.page) {
-                    // Arrived with the last batch: the install above
-                    // resolved it. Any new zone pages still go out.
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        dispatch_request(
-                            &mut injector,
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
-                    }
-                } else if let Some(&arrival) = in_flight.get(&r.page) {
-                    // Already requested: wait for the pipeline, no demand
-                    // request ("wait for i to arrive").
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        dispatch_request(
-                            &mut injector,
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
-                    }
-                    if arrival > now {
-                        stall_time += arrival.since(now);
-                        stall_sketch.record(arrival.since(now));
-                        now = arrival;
-                    }
-                    let install_from = now;
-                    dispatch_install(
-                        &mut injector,
-                        &mut staged,
-                        &mut in_flight,
-                        &mut space,
-                        &mut now,
-                        evictor.as_mut(),
-                        r.page,
-                        &mut path,
-                        &mut table,
-                        &mut pages_evicted,
-                    );
-                    install_time += now.since(install_from);
-                    trace.record_with(now, TraceKind::FaultResolved, || {
-                        TraceData::page(r.page.index()).with_note("pipelined")
-                    });
-                } else if let Some(ffa_state) = ffa.as_ref() {
-                    // FFA: demand-fetch from the file server.
-                    fault_requests += 1;
-                    pages_demand += 1;
-                    let done = ffa_state.fetch(now, r.page, &mut trace);
-                    stall_time += done.since(now);
-                    stall_sketch.record(done.since(now));
-                    now = done;
-                    table.transfer_to_destination(r.page);
-                    space.install(r.page);
-                } else {
-                    // Demand fetch from the deputy, zone piggy-backed.
-                    fault_requests += 1;
-                    pages_demand += 1;
-                    trace.record(
-                        now,
-                        TraceKind::PagingRequest,
-                        TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
-                    );
-                    dispatch_request(
-                        &mut injector,
-                        &prefetch,
-                        Some(r.page),
-                        now,
-                        &mut path,
-                        &mut deputy,
-                        &mut table,
-                        &mut in_flight,
-                        &mut staged,
-                        &mut was_prefetched,
-                        &mut pages_prefetched,
-                    );
-                    match injector.as_mut() {
-                        None => {
-                            let arrival = in_flight
-                                .get(&r.page)
-                                .copied()
-                                .expect("demand page must be served");
-                            stall_time += arrival.since(now);
-                            stall_sketch.record(arrival.since(now));
-                            now = arrival;
-                            let install_from = now;
-                            install_arrived_pressured(
-                                &mut staged,
-                                &mut in_flight,
-                                &mut space,
-                                &mut now,
-                                evictor.as_mut(),
-                                r.page,
-                                &mut path,
-                                &mut table,
-                                &mut pages_evicted,
-                            );
-                            install_time += now.since(install_from);
-                        }
-                        Some(inj) => {
-                            // Under faults the request (or any reply) may
-                            // be lost: the wait loop retries with backoff
-                            // and degrades via the failure policy.
-                            // Clock advances inside are either stall waits
-                            // (tracked through stall_time) or page-install
-                            // charges; the remainder attribution below
-                            // relies on that.
-                            let wait_from = now;
-                            let stall_before = stall_time;
-                            inj.await_demand(
-                                r.page,
-                                &mut now,
-                                &mut stall_time,
-                                &mut path,
-                                &mut deputy,
-                                &mut table,
-                                &mut in_flight,
-                                &mut staged,
-                                &mut was_prefetched,
-                                &mut pages_prefetched,
-                                &mut space,
-                                evictor.as_mut(),
-                                &mut pages_evicted,
-                            );
-                            let stall_delta = stall_time.saturating_sub(stall_before);
-                            stall_sketch.record(stall_delta);
-                            install_time += now.since(wait_from).saturating_sub(stall_delta);
-                        }
-                    }
-                    trace.record(
-                        now,
-                        TraceKind::FaultResolved,
-                        TraceData::page(r.page.index()),
-                    );
-                }
-
-                // The faulted page is resident now; apply the touch.
-                debug_assert!(space.is_resident(r.page));
-                let outcome = space.touch(r.page, r.write);
-                debug_assert_eq!(outcome, TouchOutcome::Hit);
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if !in_flight.is_empty() {
-                    prefetch_overlap += r.cpu;
-                }
-            }
-        }
-    }
-
-    // Final writeback drain: the run ends with every dirty page home.
-    if let Some(wb) = wb.as_mut() {
-        flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-    }
-
-    trace.record(now, TraceKind::WorkloadDone, TraceData::empty());
-    let total_time = now.since(SimTime::ZERO);
-
-    let (analysis_count, prefetch_stats) = match prefetcher {
-        Some(pf) => {
-            let stats = pf.observe().stats;
-            (stats.analyses, stats)
-        }
-        None => (0, PrefetchStats::default()),
-    };
-
-    let fault_stats = injector.map(FaultInjector::into_stats).unwrap_or_default();
-    let phases = PhaseBreakdown {
-        freeze: freeze.freeze_time,
-        compute: compute_time,
-        minor_fault: MINOR_FAULT_COST.saturating_mul(pages_local_alloc),
-        analysis: analysis_time,
-        install: install_time,
-        fault_stall: stall_time.saturating_sub(fault_stats.recovery_time),
-        recovery: fault_stats.recovery_time,
-        syscall: syscall_time,
-        prefetch_overlap,
-    };
-
-    RunReport {
-        scheme: cfg.scheme,
-        workload: workload.name().to_string(),
-        program_mb,
-        freeze_time: freeze.freeze_time,
-        total_time,
-        compute_time,
-        stall_time,
-        stall_sketch,
-        faults_total,
-        fault_requests,
-        prefetch_only_requests,
-        pages_demand_fetched: pages_demand,
-        pages_prefetched,
-        prefetched_pages_used: prefetched_used,
-        pages_local_alloc,
-        syscalls_forwarded,
-        syscall_time,
-        pages_evicted,
-        bytes_to_dest: path.bytes_to_dest(),
-        bytes_from_dest: path.bytes_from_dest(),
-        mpt_bytes: freeze.mpt_bytes,
-        analysis_time,
-        analysis_count,
-        prefetch_stats,
-        faults: fault_stats,
-        deputy: deputy.stats(),
-        writeback: wb.map(|w| w.stats()).unwrap_or_default(),
-        trace,
-        series,
-        phases,
-    }
-}
-
-/// Flushes every pending writeback delta batch over the dest→home
-/// direction of `path` (background traffic: the link is charged, the
-/// migrant's clock is not) and cleans the flushed pages.
-pub(crate) fn flush_writeback(
-    wb: &mut ForwardWriteback,
-    now: SimTime,
-    path: &mut NetPath,
-    space: &mut ampom_mem::space::AddressSpace,
-    trace: &mut Trace,
-) {
-    while let Some((seq, entries)) = wb.take_batch() {
-        let bytes = writeback_batch_bytes(entries.len());
-        let arrival = path.send_control_to_home(now, bytes);
-        trace.record_with(now, TraceKind::WritebackFlush, || TraceData {
-            pages: Some(entries.len() as u64),
-            bytes: Some(bytes),
-            ..TraceData::default()
-        });
-        for &(p, _) in &entries {
-            space.clean(p);
-        }
-        wb.complete(seq, &entries, bytes, now, arrival);
-    }
-}
-
-/// Share of wall time spent computing since the last fault, the `C_i`
-/// recorded with each window entry.
-fn utilization(cpu: SimDuration, now: SimTime, last_fault: SimTime) -> f64 {
-    let wall = now.saturating_since(last_fault).as_secs_f64();
-    if wall <= 0.0 {
-        1.0
-    } else {
-        (cpu.as_secs_f64() / wall).clamp(0.0, 1.0)
-    }
-}
-
-/// Runs the prefetch analysis for one fault: monitor upkeep, outcome
-/// feedback, the policy's window/zone decision, and the analysis-time
-/// charge.
-#[allow(clippy::too_many_arguments)]
-fn analyze(
-    pf: &mut dyn Prefetcher,
-    page: PageId,
-    now: &mut SimTime,
-    util: f64,
-    monitor: &mut MonitorDaemon,
-    path: &mut NetPath,
-    page_limit: PageId,
-    space: &ampom_mem::space::AddressSpace,
-    in_flight: &HashMap<PageId, SimTime>,
-    feedback: PrefetchFeedback,
-    analysis_time: &mut SimDuration,
-    trace: &mut Trace,
-) -> Vec<PageId> {
-    monitor.advance(*now, path);
-    let est = monitor.estimates();
-    pf.note_outcome(feedback);
-    let decision = pf.on_fault(page, *now, util, est, page_limit, &mut |p| {
-        space.state(p) == ampom_mem::space::PageState::Remote && !in_flight.contains_key(&p)
-    });
-    if decision.score_clamped {
-        trace.record(
-            *now,
-            TraceKind::ScoreClamped,
-            TraceData::page(page.index())
-                .with_score(decision.score)
-                .with_raw(decision.raw_score),
-        );
-    }
-    trace.record(
-        *now,
-        TraceKind::ZoneAnalysis,
-        TraceData::page(page.index())
-            .with_zone(decision.budget)
-            .with_raw(decision.n_raw)
-            .with_score(decision.score)
-            .with_rate(decision.rate)
-            .with_rtt_ns(est.t0.saturating_mul(2).as_nanos()),
-    );
-    *now += AMPOM_ANALYSIS_COST;
-    *analysis_time += AMPOM_ANALYSIS_COST;
-    monitor.on_window_wrap(*now, pf.observe().window_wraps, path);
-    decision.prefetch
-}
-
-/// Sends one paging request (demand page first if present), lets the
-/// deputy serve it, and registers the replies.
-#[allow(clippy::too_many_arguments)]
-fn send_request(
-    prefetch: &[PageId],
-    demand: Option<PageId>,
-    now: SimTime,
-    path: &mut NetPath,
-    deputy: &mut Deputy,
-    table: &mut ampom_mem::table::PageTablePair,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    was_prefetched: &mut [bool],
-    pages_prefetched: &mut u64,
-) {
-    let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-    if let Some(d) = demand {
-        pages.push(d);
-    }
-    pages.extend_from_slice(prefetch);
-    let at_home = path.send_request(now, pages.len());
-    let served = deputy.serve_request(at_home, &pages, table, path);
-    for s in &served {
-        in_flight.insert(s.page, s.arrives);
-        staged.push_back((s.arrives, s.page));
-        if demand != Some(s.page) {
-            *pages_prefetched += 1;
-            was_prefetched[s.page.index() as usize] = true;
-        }
-    }
-}
-
-/// Installs every staged page that has arrived by `now`, charging the
-/// per-page install cost.
-fn install_arrived(
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut ampom_mem::space::AddressSpace,
-    now: &mut SimTime,
-) {
-    let mut installed = 0u64;
-    while let Some(&(arrival, page)) = staged.front() {
-        if arrival > *now {
-            break;
-        }
-        staged.pop_front();
-        in_flight.remove(&page);
-        space.install(page);
-        installed += 1;
-    }
-    if installed > 0 {
-        *now += PAGE_INSTALL_COST.saturating_mul(installed);
-    }
-}
-
-/// Dispatches a paging request through the fault injector when one is
-/// active, or straight to [`send_request`] on the fault-free path.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_request(
-    injector: &mut Option<FaultInjector>,
-    prefetch: &[PageId],
-    demand: Option<PageId>,
-    now: SimTime,
-    path: &mut NetPath,
-    deputy: &mut Deputy,
-    table: &mut ampom_mem::table::PageTablePair,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    was_prefetched: &mut [bool],
-    pages_prefetched: &mut u64,
-) {
-    match injector.as_mut() {
-        None => send_request(
-            prefetch,
-            demand,
-            now,
-            path,
-            deputy,
-            table,
-            in_flight,
-            staged,
-            was_prefetched,
-            pages_prefetched,
-        ),
-        Some(inj) => inj.send_request(
-            prefetch,
-            demand,
-            now,
-            path,
-            deputy,
-            table,
-            in_flight,
-            staged,
-            was_prefetched,
-            pages_prefetched,
-        ),
-    }
-}
-
-/// Dispatches staged-page installation through the fault injector
-/// (idempotent, duplicate-suppressing) when one is active, or to
-/// [`install_arrived_pressured`] on the fault-free path.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_install(
-    injector: &mut Option<FaultInjector>,
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut ampom_mem::space::AddressSpace,
-    now: &mut SimTime,
-    evictor: Option<&mut ClockEvictor>,
-    protect: PageId,
-    path: &mut NetPath,
-    table: &mut ampom_mem::table::PageTablePair,
-    pages_evicted: &mut u64,
-) {
-    match injector.as_mut() {
-        None => install_arrived_pressured(
-            staged,
-            in_flight,
-            space,
-            now,
-            evictor,
-            protect,
-            path,
-            table,
-            pages_evicted,
-        ),
-        Some(inj) => inj.install_arrived(
-            staged,
-            in_flight,
-            space,
-            now,
-            evictor,
-            protect,
-            path,
-            table,
-            pages_evicted,
-        ),
-    }
-}
-
-/// Evicts until one more page fits, pushing victims back to the origin
-/// (the write-back rides the request-direction link; the table re-adopts
-/// the page at the origin).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_room(
-    ev: &mut ClockEvictor,
-    protect: PageId,
-    now: SimTime,
-    path: &mut NetPath,
-    table: &mut ampom_mem::table::PageTablePair,
-    space: &mut ampom_mem::space::AddressSpace,
-    pages_evicted: &mut u64,
-) {
-    while ev.at_capacity() {
-        let victim = ev.evict(protect);
-        *pages_evicted += 1;
-        path.send_control_to_home(now, NetPath::page_reply_bytes());
-        if table.lookup(victim) == Some(ampom_mem::table::PageLocation::Destination) {
-            table.return_to_origin(victim);
-        }
-        space.mark_remote(victim);
-    }
-}
-
-/// [`install_arrived`] plus memory-pressure bookkeeping: each install may
-/// first have to evict a victim.
-#[allow(clippy::too_many_arguments)]
-fn install_arrived_pressured(
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut ampom_mem::space::AddressSpace,
-    now: &mut SimTime,
-    evictor: Option<&mut ClockEvictor>,
-    protect: PageId,
-    path: &mut NetPath,
-    table: &mut ampom_mem::table::PageTablePair,
-    pages_evicted: &mut u64,
-) {
-    match evictor {
-        None => install_arrived(staged, in_flight, space, now),
-        Some(ev) => {
-            let mut installed = 0u64;
-            while let Some(&(arrival, page)) = staged.front() {
-                if arrival > *now {
-                    break;
-                }
-                staged.pop_front();
-                in_flight.remove(&page);
-                if space.state(page) != ampom_mem::space::PageState::Remote {
-                    // Evicted while in flight and re-created locally, or
-                    // already handled; drop the stale copy.
-                    continue;
-                }
-                make_room(ev, protect, *now, path, table, space, pages_evicted);
-                space.install(page);
-                ev.on_install(page);
-                installed += 1;
-            }
-            if installed > 0 {
-                *now += PAGE_INSTALL_COST.saturating_mul(installed);
-            }
-        }
-    }
-}
-
-/// FFA background state: flush schedule and file-server fetch timing.
-#[derive(Debug)]
-struct FfaState {
-    /// Completion time of each page's flush to the file server.
-    flush_done: HashMap<PageId, SimTime>,
-    /// File-server link (latency/capacity like the cluster LAN).
-    link: LinkConfig,
-}
-
-impl FfaState {
-    fn new(pre: &PreMigrationState, resume_at: SimTime, link: LinkConfig) -> Self {
-        // The home node streams all dirty pages to the file server at link
-        // speed, starting at resume.
-        let per_page = link.serialization_time(PAGE_SIZE);
-        let mut flush_done = HashMap::new();
-        let mut t = resume_at;
-        for p in pre.dirty_pages() {
-            t += per_page;
-            flush_done.insert(p, t + link.latency);
-        }
-        FfaState { flush_done, link }
-    }
-
-    /// When the whole flush completes.
-    #[allow(dead_code)]
-    fn flush_complete(&self) -> SimTime {
-        self.flush_done
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Demand-fetches `page` from the file server at `now`; returns when
-    /// the page is installed at the destination.
-    fn fetch(&self, now: SimTime, page: PageId, trace: &mut Trace) -> SimTime {
-        let request_arrives = now + PER_MESSAGE_OVERHEAD + self.link.latency;
-        let available = self
-            .flush_done
-            .get(&page)
-            .copied()
-            .unwrap_or(request_arrives);
-        let served = request_arrives.max(available);
-        let reply = served + self.link.serialization_time(PAGE_SIZE + 32) + self.link.latency;
-        trace.record_with(reply, TraceKind::FileServerFlush, || {
-            TraceData::page(page.index()).with_note("via file server")
-        });
-        reply
-    }
+    try_run_workload(workload, cfg).unwrap_or_else(|e| panic!("run_workload: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampom_sim::time::SimDuration;
+    use ampom_sim::trace::TraceKind;
     use ampom_workloads::synthetic::{Scripted, Sequential, UniformRandom};
 
     const CPU: SimDuration = SimDuration::from_micros(10);

@@ -22,30 +22,24 @@
 //!   scheduler with a configurable time slice,
 //! * [`VmAnalysis`] — shared-window (naive) vs per-process-window
 //!   (tailored) analysis,
-//! * [`run_vm`] — the migration runner for a VM under AMPoM, reporting
-//!   the same metrics as the single-process runner.
+//! * [`run_vm`] — the migration runner for a VM under AMPoM: the
+//!   single-migrant loop over the VM's reference stream, with a per-guest
+//!   prefetcher adaptor for the tailored analysis.
 //!
 //! The `hpcc-repro ext-vm` experiment and `examples/vm_migration.rs`
 //! compare the two analyses.
 
-use std::collections::{HashMap, VecDeque};
-
 use ampom_mem::page::PageId;
 use ampom_mem::region::MemoryLayout;
-use ampom_mem::space::TouchOutcome;
-use ampom_net::calibration::AMPOM_ANALYSIS_COST;
-use ampom_sim::time::{SimDuration, SimTime};
-use ampom_sim::trace::Trace;
+use ampom_sim::time::SimTime;
 use ampom_workloads::memref::{MemRef, Workload};
 
-use crate::cluster::NetPath;
-use crate::deputy::Deputy;
 use crate::metrics::RunReport;
-use crate::migration::{perform_freeze, PreMigrationState, Scheme};
-use crate::monitor::MonitorDaemon;
-use crate::policy::Prefetcher;
-use crate::prefetcher::PrefetchStats;
-use crate::runner::{RunConfig, PAGE_INSTALL_COST};
+use crate::migration::Scheme;
+use crate::policy::{PrefetchFeedback, PrefetchObservation, Prefetcher};
+use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneDecision};
+use crate::runner::RunConfig;
+use crate::transport::{run_migrant, SimulatedTransport};
 
 /// How the prefetcher treats the VM's interleaved fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,13 +69,17 @@ struct GuestProc {
     workload: Box<dyn Workload>,
     /// Where this process's address space begins inside the VM's space.
     base_offset: u64,
+    /// First guest-physical page of this process's data slice.
+    slice_start: u64,
     /// Pending slice budget (refs remaining in the current quantum).
     slice_left: u32,
     done: bool,
 }
 
 /// A virtual machine: several guest processes over one guest-physical
-/// address space, scheduled round-robin.
+/// address space, scheduled round-robin. As a [`Workload`] it yields
+/// the interleaved, translated reference stream the hypervisor's fault
+/// handler sees.
 pub struct VmWorkload {
     layout: MemoryLayout,
     procs: Vec<GuestProc>,
@@ -110,18 +108,15 @@ impl VmWorkload {
             // Each guest's pages map at `offset - guest_data_start`.
             let guest_start = w.layout().data_start().index();
             total_refs += w.total_refs_hint();
+            let pages = w.data_bytes().div_ceil(ampom_mem::PAGE_SIZE);
             procs.push(GuestProc {
                 base_offset: offset - guest_start,
+                slice_start: offset,
                 slice_left: slice,
                 done: false,
                 workload: w,
             });
-            offset += procs
-                .last()
-                .unwrap()
-                .workload
-                .data_bytes()
-                .div_ceil(ampom_mem::PAGE_SIZE);
+            offset += pages;
         }
         VmWorkload {
             layout,
@@ -136,33 +131,6 @@ impl VmWorkload {
     /// Number of guest processes.
     pub fn process_count(&self) -> usize {
         self.procs.len()
-    }
-
-    /// The VM's guest-physical layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        &self.layout
-    }
-
-    /// Total references across all guests.
-    pub fn total_refs_hint(&self) -> u64 {
-        self.total_refs
-    }
-
-    /// Total data bytes across all guests.
-    pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
-    }
-
-    /// Every guest page, translated to guest-physical (for the
-    /// pre-migration allocation).
-    pub fn allocation_pages(&self) -> Vec<PageId> {
-        let mut pages = Vec::new();
-        for p in &self.procs {
-            for page in p.workload.allocation_pages() {
-                pages.push(PageId(page.index() + p.base_offset));
-            }
-        }
-        pages
     }
 
     /// The next reference and the guest process that made it.
@@ -192,6 +160,119 @@ impl VmWorkload {
     }
 }
 
+impl Iterator for VmWorkload {
+    type Item = MemRef;
+
+    fn next(&mut self) -> Option<MemRef> {
+        self.next_ref().map(|(_, r)| r)
+    }
+}
+
+impl Workload for VmWorkload {
+    fn name(&self) -> &'static str {
+        "VM"
+    }
+
+    /// The VM's guest-physical layout.
+    fn layout(&self) -> &MemoryLayout {
+        &self.layout
+    }
+
+    /// Total data bytes across all guests.
+    fn data_bytes(&self) -> u64 {
+        self.data_bytes
+    }
+
+    /// Every guest page, translated to guest-physical (for the
+    /// pre-migration allocation).
+    fn allocation_pages(&self) -> Vec<PageId> {
+        let mut pages = Vec::new();
+        for p in &self.procs {
+            for page in p.workload.allocation_pages() {
+                pages.push(PageId(page.index() + p.base_offset));
+            }
+        }
+        pages
+    }
+
+    /// Total references across all guests.
+    fn total_refs_hint(&self) -> u64 {
+        self.total_refs
+    }
+}
+
+/// Per-guest analysis: one inner prefetcher per guest, each fault routed
+/// to the guest that made the reference. Guests own disjoint data slices
+/// and references stay inside a workload's data region, so the faulted
+/// page names its guest. With one guest this is the shared window.
+struct GuestPrefetchers {
+    /// First guest-physical page of each guest's slice, ascending.
+    slice_starts: Vec<u64>,
+    guests: Vec<Box<dyn Prefetcher>>,
+    /// The guest of the latest analysis (its window drives the monitor's
+    /// wrap count).
+    last: usize,
+    /// Outcome feedback awaiting the next fault's guest.
+    feedback: Option<PrefetchFeedback>,
+}
+
+impl GuestPrefetchers {
+    /// The mean Eq. 1 score over every analysis of every guest.
+    fn mean_score(&self) -> f64 {
+        let mut score_sum = 0.0;
+        let mut score_n = 0u64;
+        for pf in &self.guests {
+            let s = pf.observe().stats;
+            score_sum += s.scores.mean() * s.scores.count() as f64;
+            score_n += s.scores.count();
+        }
+        if score_n == 0 {
+            0.0
+        } else {
+            score_sum / score_n as f64
+        }
+    }
+}
+
+impl Prefetcher for GuestPrefetchers {
+    fn on_fault(
+        &mut self,
+        page: PageId,
+        now: SimTime,
+        cpu_util: f64,
+        net: NetEstimates,
+        page_limit: PageId,
+        fetchable: &mut dyn FnMut(PageId) -> bool,
+    ) -> ZoneDecision {
+        self.last = self
+            .slice_starts
+            .partition_point(|&start| start <= page.index())
+            .saturating_sub(1);
+        let pf = self.guests[self.last].as_mut();
+        if let Some(feedback) = self.feedback.take() {
+            pf.note_outcome(feedback);
+        }
+        pf.on_fault(page, now, cpu_util, net, page_limit, fetchable)
+    }
+
+    fn note_outcome(&mut self, feedback: PrefetchFeedback) {
+        self.feedback = Some(feedback);
+    }
+
+    /// The latest guest's observation, with the statistics of all guests
+    /// merged (every counter, including `score_clamps`).
+    fn observe(&self) -> PrefetchObservation {
+        let mut merged = PrefetchStats::default();
+        for pf in &self.guests {
+            merged.merge(&pf.observe().stats);
+        }
+        PrefetchObservation {
+            stats: merged,
+            ..self.guests[self.last].observe()
+        }
+    }
+}
+
 /// Outcome of one VM migration run.
 #[derive(Debug)]
 pub struct VmReport {
@@ -204,318 +285,50 @@ pub struct VmReport {
     pub mean_score: f64,
 }
 
-/// Migrates a VM under AMPoM-style lightweight migration and runs it to
-/// completion with the chosen analysis mode.
+/// Migrates a VM with lightweight migration and runs it to completion
+/// with the chosen analysis mode: AMPoM with a shared or per-process
+/// window, or [`Scheme::NoPrefetch`] for [`VmAnalysis::NoPrefetch`].
+/// `cfg`'s scheme is ignored; everything else applies as in
+/// [`run_workload`](crate::runner::run_workload).
+///
+/// # Panics
+/// Panics on an invalid configuration.
 pub fn run_vm(mut vm: VmWorkload, cfg: &RunConfig, analysis: VmAnalysis) -> VmReport {
-    let layout = vm.layout().clone();
-    let pre = PreMigrationState::new(layout.clone(), vm.allocation_pages());
-    let program_mb = (pre.allocated.len() as u64 * ampom_mem::PAGE_SIZE) >> 20;
-
-    let mut path = NetPath::new(cfg.link);
-    let mut trace = Trace::disabled();
-    let freeze = perform_freeze(Scheme::Ampom, &pre, &mut path, &mut trace);
-    let mut space = freeze.space;
-    let mut table = freeze.table;
-    let mut now = SimTime::ZERO + freeze.freeze_time;
-
-    let mut monitor = MonitorDaemon::new(&path);
-    let mut deputy = Deputy::new();
-
-    let n_procs = vm.process_count();
-    let mk = || cfg.policy.build(&cfg.ampom);
-    let mut prefetchers: Vec<Box<dyn Prefetcher>> = match analysis {
-        VmAnalysis::SharedWindow => vec![mk()],
-        VmAnalysis::PerProcess => (0..n_procs).map(|_| mk()).collect(),
-        VmAnalysis::NoPrefetch => Vec::new(),
+    let mut cfg = cfg.clone();
+    cfg.scheme = match analysis {
+        VmAnalysis::NoPrefetch => Scheme::NoPrefetch,
+        VmAnalysis::SharedWindow | VmAnalysis::PerProcess => Scheme::Ampom,
     };
-
-    let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
-    let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-    let total_pages = layout.total_pages();
-    let page_limit = PageId(total_pages);
-
-    let mut compute_time = SimDuration::ZERO;
-    let mut stall_time = SimDuration::ZERO;
-    let mut stall_sketch = crate::slo::QuantileSketch::new();
-    let mut analysis_time = SimDuration::ZERO;
-    let mut faults_total = 0u64;
-    let mut fault_requests = 0u64;
-    let mut prefetch_only_requests = 0u64;
-    let mut pages_demand = 0u64;
-    let mut pages_prefetched = 0u64;
-    let mut cpu_since_fault = SimDuration::ZERO;
-    let mut last_fault_at = now;
-
-    // Background writeback rides along even under VM workloads: every
-    // guest's dirty pages share one write-set toward the home node.
-    let mut wb = cfg.writeback.map(crate::lifecycle::ForwardWriteback::new);
-
-    while let Some((proc_id, r)) = vm.next_ref() {
-        match space.touch(r.page, r.write) {
-            TouchOutcome::Hit => {
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-            TouchOutcome::LocalAllocate => {
-                faults_total += 1;
-                if table.lookup(r.page).is_none() {
-                    table.create_at_destination(r.page);
-                }
-                if let Some(wb) = wb.as_mut() {
-                    // First touches allocate dirty (zero-fill).
-                    wb.note_touch(r.page, true);
-                }
-                now += crate::runner::MINOR_FAULT_COST + r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-            TouchOutcome::RemoteFault => {
-                faults_total += 1;
-                let fault_at = now;
-                if let Some(wb) = wb.as_mut() {
-                    if wb.on_fault() {
-                        crate::runner::flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-                    }
-                }
-                install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-
-                let wall = fault_at.saturating_since(last_fault_at).as_secs_f64();
-                let util = if wall <= 0.0 {
-                    1.0
-                } else {
-                    (cpu_since_fault.as_secs_f64() / wall).clamp(0.0, 1.0)
-                };
-                last_fault_at = fault_at;
-                cpu_since_fault = SimDuration::ZERO;
-
-                let prefetch: Vec<PageId> = match analysis {
-                    VmAnalysis::NoPrefetch => Vec::new(),
-                    _ => {
-                        let idx = if analysis == VmAnalysis::PerProcess {
-                            proc_id
-                        } else {
-                            0
-                        };
-                        monitor.advance(now, &mut path);
-                        let est = monitor.estimates();
-                        let pf = prefetchers[idx].as_mut();
-                        let d = pf.on_fault(r.page, now, util, est, page_limit, &mut |p| {
-                            space.state(p) == ampom_mem::space::PageState::Remote
-                                && !in_flight.contains_key(&p)
-                        });
-                        now += AMPOM_ANALYSIS_COST;
-                        analysis_time += AMPOM_ANALYSIS_COST;
-                        monitor.on_window_wrap(now, pf.observe().window_wraps, &path);
-                        d.prefetch
-                    }
-                };
-
-                if space.is_resident(r.page) {
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        send(
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut pages_prefetched,
-                        );
-                    }
-                } else if let Some(&arrival) = in_flight.get(&r.page) {
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        send(
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut pages_prefetched,
-                        );
-                    }
-                    if arrival > now {
-                        stall_time += arrival.since(now);
-                        stall_sketch.record(arrival.since(now));
-                        now = arrival;
-                    }
-                    install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-                } else {
-                    fault_requests += 1;
-                    pages_demand += 1;
-                    send(
-                        &prefetch,
-                        Some(r.page),
-                        now,
-                        &mut path,
-                        &mut deputy,
-                        &mut table,
-                        &mut in_flight,
-                        &mut staged,
-                        &mut pages_prefetched,
-                    );
-                    let arrival = in_flight[&r.page];
-                    stall_time += arrival.since(now);
-                    stall_sketch.record(arrival.since(now));
-                    now = arrival;
-                    install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-                }
-
-                let outcome = space.touch(r.page, r.write);
-                debug_assert_eq!(outcome, TouchOutcome::Hit);
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-        }
-    }
-
-    // Final writeback drain: the run ends with every dirty page home.
-    if let Some(wb) = wb.as_mut() {
-        crate::runner::flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-    }
-
-    let (analysis_count, stats, mean_score) = if prefetchers.is_empty() {
-        (0, PrefetchStats::default(), 0.0)
-    } else {
-        let mut merged = PrefetchStats::default();
-        let mut score_sum = 0.0;
-        let mut score_n = 0u64;
-        for pf in &prefetchers {
-            let s = pf.observe().stats;
-            score_sum += s.scores.mean() * s.scores.count() as f64;
-            score_n += s.scores.count();
-            // merge() folds every counter, including score_clamps (the
-            // previous field-by-field merge silently dropped it).
-            merged.merge(&s);
-        }
-        let mean = if score_n == 0 {
-            0.0
-        } else {
-            score_sum / score_n as f64
-        };
-        (merged.analyses, merged, mean)
+    let guests = vm.process_count();
+    let slice_starts = match analysis {
+        VmAnalysis::PerProcess => vm.procs.iter().map(|p| p.slice_start).collect(),
+        VmAnalysis::SharedWindow | VmAnalysis::NoPrefetch => vec![0],
     };
-
-    // Phase attribution: the VM loop's advances outside compute, stall and
-    // analysis are all page-install charges, so the residual of the total is
-    // attributed to `install` — keeping the phases an exact partition.
-    let total_time = now.since(SimTime::ZERO);
-    let accounted = freeze.freeze_time + compute_time + stall_time + analysis_time;
-    let phases = ampom_obs::PhaseBreakdown {
-        freeze: freeze.freeze_time,
-        compute: compute_time,
-        minor_fault: SimDuration::ZERO,
-        analysis: analysis_time,
-        install: total_time.saturating_sub(accounted),
-        fault_stall: stall_time,
-        recovery: SimDuration::ZERO,
-        syscall: SimDuration::ZERO,
-        prefetch_overlap: SimDuration::ZERO,
-    };
-
+    let mut prefetchers = (cfg.scheme == Scheme::Ampom).then(|| GuestPrefetchers {
+        guests: slice_starts
+            .iter()
+            .map(|_| cfg.policy.build(&cfg.ampom))
+            .collect(),
+        slice_starts,
+        last: 0,
+        feedback: None,
+    });
+    let mut transport = SimulatedTransport::new(&cfg);
+    let pf = prefetchers.as_mut().map(|p| p as &mut dyn Prefetcher);
+    let mut report =
+        run_migrant(&mut vm, &cfg, &mut transport, pf).unwrap_or_else(|e| panic!("run_vm: {e}"));
+    report.workload = format!("VM[{guests}]");
     VmReport {
         analysis,
-        mean_score,
-        report: RunReport {
-            scheme: Scheme::Ampom,
-            workload: format!("VM[{n_procs}]"),
-            program_mb,
-            freeze_time: freeze.freeze_time,
-            total_time,
-            compute_time,
-            stall_time,
-            stall_sketch,
-            faults_total,
-            fault_requests,
-            prefetch_only_requests,
-            pages_demand_fetched: pages_demand,
-            pages_prefetched,
-            prefetched_pages_used: 0, // not tracked at VM granularity
-            pages_local_alloc: 0,
-            syscalls_forwarded: 0,
-            syscall_time: SimDuration::ZERO,
-            pages_evicted: 0,
-            bytes_to_dest: path.bytes_to_dest(),
-            bytes_from_dest: path.bytes_from_dest(),
-            mpt_bytes: freeze.mpt_bytes,
-            analysis_time,
-            analysis_count,
-            prefetch_stats: stats,
-            faults: crate::metrics::FaultStats::default(),
-            deputy: deputy.stats(),
-            writeback: wb.map(|w| w.stats()).unwrap_or_default(),
-            trace,
-            series: None,
-            phases,
-        },
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn send(
-    prefetch: &[PageId],
-    demand: Option<PageId>,
-    now: SimTime,
-    path: &mut NetPath,
-    deputy: &mut Deputy,
-    table: &mut ampom_mem::table::PageTablePair,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    pages_prefetched: &mut u64,
-) {
-    let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-    if let Some(d) = demand {
-        pages.push(d);
-    }
-    pages.extend_from_slice(prefetch);
-    let at_home = path.send_request(now, pages.len());
-    for s in deputy.serve_request(at_home, &pages, table, path) {
-        in_flight.insert(s.page, s.arrives);
-        staged.push_back((s.arrives, s.page));
-        if demand != Some(s.page) {
-            *pages_prefetched += 1;
-        }
-    }
-}
-
-fn install_arrived(
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut ampom_mem::space::AddressSpace,
-    now: &mut SimTime,
-) {
-    let mut installed = 0u64;
-    while let Some(&(arrival, page)) = staged.front() {
-        if arrival > *now {
-            break;
-        }
-        staged.pop_front();
-        in_flight.remove(&page);
-        space.install(page);
-        installed += 1;
-    }
-    if installed > 0 {
-        *now += PAGE_INSTALL_COST.saturating_mul(installed);
+        mean_score: prefetchers.map_or(0.0, |p| p.mean_score()),
+        report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampom_sim::time::SimDuration;
     use ampom_workloads::synthetic::Sequential;
 
     const CPU: SimDuration = SimDuration::from_micros(15);

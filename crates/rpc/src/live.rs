@@ -786,6 +786,12 @@ pub fn run_live<W: Workload + ?Sized>(
                 .into(),
         ));
     }
+    cfg.validate()?;
+    if let Some(feature) = cfg.simulated_only_feature() {
+        return Err(AmpomError::InvalidConfig(format!(
+            "{feature} is not modelled by the live transport"
+        )));
+    }
     let mut transport = LiveTransport::connect(endpoint, opts)?;
     let measured = transport.measured();
     let report = run_with_transport(workload, cfg, &mut transport)?;
@@ -954,9 +960,38 @@ mod tests {
         data
     }
 
+    /// FFA, simulated fault injection and resident-limit eviction exist
+    /// only on the simulated transport. A live run refuses them before it
+    /// dials: nothing listens on the endpoint, so a connection attempt
+    /// would fail with a network error, not `InvalidConfig`.
+    #[test]
+    fn simulated_only_features_are_rejected_before_connecting() {
+        use ampom_core::reliability::FaultProfile;
+        use ampom_workloads::synthetic::Sequential;
+        for cfg in [
+            RunConfig::new(Scheme::Ffa),
+            RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.1)),
+            RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1),
+        ] {
+            let mut w = Sequential::new(64, SimDuration::from_micros(10));
+            let err = run_live(
+                &mut w,
+                &cfg,
+                Endpoint::tcp("127.0.0.1:1"),
+                &LiveOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, AmpomError::InvalidConfig(_)),
+                "{:?}: {err}",
+                cfg.scheme
+            );
+        }
+    }
+
     /// Cross-transport identity (with
     /// `one_reply_delivered_twice_counts_one_duplicate` in
-    /// `ampom_core::reliability`): one reply delivered twice counts
+    /// `ampom_core::transport`): one reply delivered twice counts
     /// exactly one duplicate.
     #[test]
     fn note_reply_counts_a_resent_copy_exactly_once() {
