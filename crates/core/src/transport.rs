@@ -634,7 +634,7 @@ impl Transport for SimulatedTransport {
 
     // `#[inline]` on the per-reference and per-zone-candidate methods:
     // the generic run loop is instantiated in other codegen units, and
-    // an out-of-line call here costs table1-solo ~7% of its throughput.
+    // an out-of-line call here cost table1-solo 7-9% of its throughput.
     #[inline]
     fn is_in_flight(&self, page: PageId) -> bool {
         self.in_flight.contains_key(&page)

@@ -456,6 +456,23 @@ mod tests {
     }
 
     #[test]
+    fn vm_runs_get_every_feature_of_the_migrant_loop() {
+        use crate::reliability::FaultProfile;
+        use ampom_sim::trace::TraceKind;
+        // 800 guest pages against a 1 MB limit, on a lossy link, traced.
+        let cfg = RunConfig::new(Scheme::Ampom)
+            .with_faults(FaultProfile::lossy(0.05))
+            .with_resident_limit_mb(1)
+            .with_trace();
+        let r = run_vm(vm_of(4, 200, 1), &cfg, VmAnalysis::PerProcess).report;
+        assert!(r.faults.messages_dropped > 0);
+        assert!(r.pages_evicted > 0);
+        assert!(r.prefetched_pages_used > 0);
+        assert!(r.trace.first_of(TraceKind::ZoneAnalysis).is_some());
+        assert_eq!(r.phases.total(), r.total_time);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one process")]
     fn empty_vm_rejected() {
         let _ = VmWorkload::new(Vec::new(), 1);
